@@ -67,10 +67,11 @@ func TestThriftyccTrace(t *testing.T) {
 }
 
 // TestThriftyccTraceMultiRep: every repetition is traced, stamped with its
-// run index.
+// run index. One thread: iteration counts are only deterministic there, as
+// concurrent pushes on the unified labels array race benignly.
 func TestThriftyccTraceMultiRep(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
-	out, err := run(t, "thriftycc", "-gen", "er:400:800", "-algo", "thrifty", "-reps", "3", "-trace", tracePath)
+	out, err := run(t, "thriftycc", "-gen", "er:400:800", "-algo", "thrifty", "-threads", "1", "-reps", "3", "-trace", tracePath)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}

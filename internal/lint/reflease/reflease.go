@@ -35,6 +35,7 @@
 package reflease
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -203,6 +204,10 @@ type tuple struct {
 	nilness  byte
 	defers   byte // armed deferred releases, saturating at 2
 }
+
+// maxTuples is the lattice size: held × released × dead × nilness (3) ×
+// defers (3).
+const maxTuples = 2 * 2 * 2 * 3 * 3
 
 type tupleSet map[tuple]bool
 
@@ -389,7 +394,21 @@ func (c *checker) analyzeSite(enclosing *types.Func, graph *cfg.CFG, parents map
 	inWork := map[*cfg.Block]bool{graph.Entry: true}
 	returned := false
 
-	for len(work) > 0 {
+	// A block is queued on its first visit and afterwards only when its
+	// state grows, which a state of at most maxTuples tuples can do at most
+	// maxTuples times: a fixpoint takes at most (maxTuples+1)·|blocks|
+	// visits. Going past that means the lattice is broken — fail loudly
+	// rather than spin.
+	budget := (maxTuples + 1) * len(graph.Blocks)
+	for visits := 0; len(work) > 0; visits++ {
+		if visits == budget {
+			fn := "function literal"
+			if enclosing != nil {
+				fn = enclosing.FullName()
+			}
+			panic(fmt.Sprintf("reflease: fixpoint for %s (%s at %s) exceeded %d block visits",
+				fn, s.name, c.pass.Fset.Position(s.pos), budget))
+		}
 		blk := work[0]
 		work = work[1:]
 		inWork[blk] = false
@@ -397,7 +416,12 @@ func (c *checker) analyzeSite(enclosing *types.Func, graph *cfg.CFG, parents map
 		outs := c.transfer(blk, in[blk], parents, s, rep, &returned)
 		for i, succ := range blk.Succs {
 			merged, changed := union(in[succ], outs[i])
-			if changed || in[succ] == nil {
+			if merged == nil {
+				// First reached along an infeasible edge: record the visit
+				// with an empty state, or every later pass re-queues it.
+				merged, changed = tupleSet{}, true
+			}
+			if changed {
 				in[succ] = merged
 				if !inWork[succ] {
 					work = append(work, succ)

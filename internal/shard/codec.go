@@ -1,10 +1,11 @@
 package shard
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Boundary-exchange wire format. A message from one shard to another is a
@@ -37,11 +38,11 @@ const NaivePairBytes = 8
 // per vertex (the MIN combiner: only the smallest incoming label can matter).
 // base must be the destination shard's Lo and every pair's V at least base.
 func AppendPairs(buf []byte, base uint32, pairs []Pair) []byte {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].V != pairs[j].V {
-			return pairs[i].V < pairs[j].V
+	slices.SortFunc(pairs, func(a, b Pair) int {
+		if c := cmp.Compare(a.V, b.V); c != 0 {
+			return c
 		}
-		return pairs[i].L < pairs[j].L
+		return cmp.Compare(a.L, b.L)
 	})
 	// Dedup in place: first occurrence per vertex carries the min label.
 	w := 0

@@ -1,9 +1,10 @@
 package shard
 
 import (
-	"sort"
+	"slices"
 
 	"thriftylp/graph"
+	"thriftylp/internal/bitmap"
 	"thriftylp/internal/core"
 	"thriftylp/internal/parallel"
 )
@@ -43,10 +44,11 @@ type Node struct {
 	label []uint32
 	// suppressed[r] is set once component r has converged to label 0 and
 	// shipped its final 0-emission: it is dropped from every future exchange
-	// (its targets freed) — the cross-shard form of Zero Convergence.
+	// (its target lists dropped) — the cross-shard form of Zero Convergence.
 	suppressed []bool
 	// out[r] lists component r's boundary targets per destination shard;
-	// freed on suppression.
+	// dropped on suppression. Every list is a window of one dense array of
+	// BoundaryEntries targets (see buildBoundary).
 	out [][]destTargets
 	// knownZero marks remote vertices this node has shipped a 0 to: their
 	// labels are final, so any further entry targeting them is dead and is
@@ -149,55 +151,113 @@ func NewNode(id int, s *graph.CSRSlice, ranges []parallel.Range, hub uint32, cfg
 	return n, false, nil
 }
 
-// boundaryEntry is a construction-time triple, sorted to group and dedup.
-type boundaryEntry struct {
-	rep    uint32
-	dest   int32
-	target uint32
-}
-
 // buildBoundary extracts the shard's cut edges into per-component,
 // per-destination sorted target lists, deduplicating parallel entries (two
 // interior vertices of one component adjacent to the same remote vertex
 // produce one entry — they could only ever ship the same label).
+//
+// The cut is typically several times larger than what survives dedup, so
+// the build is linear in the cut and sorts only the survivors:
+//
+//  1. a counting sort by representative scatters every cut slot's target
+//     into one buffer, component segments in representative order;
+//  2. each segment is deduplicated against a global-id bitmap — only the
+//     bits just set are cleared again, so the bitmap is never swept — and
+//     its survivors, compacted to the buffer's front, are sorted;
+//  3. the survivors are copied into one dense array of BoundaryEntries
+//     targets and cut at owner-range boundaries: sorted ids make each
+//     destination contiguous, so OwnerOf runs once per list, not per slot.
 func (n *Node) buildBoundary(s *graph.CSRSlice, ranges []parallel.Range) {
-	var entries []boundaryEntry
-	for v := 0; v < s.NumLocal(); v++ {
-		row := s.Adj[s.Offsets[v]:s.Offsets[v+1]]
+	local := s.NumLocal()
+	// Counts land at end[r+1]; the running sum then leaves end[r] at the
+	// first slot of r's segment, and the scatter advances it to the last+1.
+	end := make([]int, local+1)
+	for v := 0; v < local; v++ {
 		r := n.rep[v]
-		for _, u := range row {
+		for _, u := range s.Adj[s.Offsets[v]:s.Offsets[v+1]] {
 			if u < n.Lo || u >= n.Hi {
-				entries = append(entries, boundaryEntry{rep: r, dest: int32(OwnerOf(ranges, u)), target: u})
+				end[r+1]++
 			}
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.rep != b.rep {
-			return a.rep < b.rep
+	for r := 0; r < local; r++ {
+		end[r+1] += end[r]
+	}
+	cut := make([]uint32, end[local])
+	for v := 0; v < local; v++ {
+		r := n.rep[v]
+		for _, u := range s.Adj[s.Offsets[v]:s.Offsets[v+1]] {
+			if u < n.Lo || u >= n.Hi {
+				cut[end[r]] = u
+				end[r]++
+			}
 		}
-		if a.dest != b.dest {
-			return a.dest < b.dest
+	}
+
+	// Segment r is cut[end[r-1]:end[r]]. Survivors compact to cut[:w];
+	// end[r] is rewritten to the compacted segment's end.
+	seen := bitmap.New(s.GlobalVertices)
+	lo, w := 0, 0
+	for r := 0; r < local; r++ {
+		hi, start := end[r], w
+		for _, u := range cut[lo:hi] {
+			if !seen.Get(int(u)) {
+				seen.Set(int(u))
+				cut[w] = u
+				w++
+			}
 		}
-		return a.target < b.target
-	})
-	n.out = make([][]destTargets, s.NumLocal())
-	for i := 0; i < len(entries); {
-		j := i
-		for j < len(entries) && entries[j].rep == entries[i].rep && entries[j].dest == entries[i].dest {
+		kept := cut[start:w]
+		for _, u := range kept {
+			seen.Clear(int(u))
+		}
+		slices.Sort(kept)
+		end[r], lo = w, hi
+	}
+
+	// The resident copy holds the survivors only; every destTargets, from
+	// one pre-counted backing array, windows into it.
+	targets := slices.Clone(cut[:w])
+	n.BoundaryEntries = int64(w)
+	lists := 0
+	lo = 0
+	for r := 0; r < local; r++ {
+		lists += splitByOwner(ranges, targets[lo:end[r]], nil)
+		lo = end[r]
+	}
+	pool := make([]destTargets, 0, lists)
+	n.out = make([][]destTargets, local)
+	lo = 0
+	for r := 0; r < local; r++ {
+		if lo == end[r] {
+			continue
+		}
+		first := len(pool)
+		splitByOwner(ranges, targets[lo:end[r]], func(dest int, run []uint32) {
+			pool = append(pool, destTargets{dest: dest, targets: run})
+		})
+		n.out[r] = pool[first:len(pool):len(pool)]
+		lo = end[r]
+	}
+}
+
+// splitByOwner cuts sorted global ids into maximal runs owned by one shard,
+// calling fn (when non-nil) with each run and its owner, and returns the
+// run count.
+func splitByOwner(ranges []parallel.Range, sorted []uint32, fn func(dest int, run []uint32)) int {
+	runs := 0
+	for i := 0; i < len(sorted); runs++ {
+		d := OwnerOf(ranges, sorted[i])
+		j := i + 1
+		for j < len(sorted) && sorted[j] < ranges[d].Hi {
 			j++
 		}
-		targets := make([]uint32, 0, j-i)
-		for k := i; k < j; k++ {
-			if len(targets) == 0 || targets[len(targets)-1] != entries[k].target {
-				targets = append(targets, entries[k].target)
-			}
+		if fn != nil {
+			fn(d, sorted[i:j:j])
 		}
-		r := entries[i].rep
-		n.out[r] = append(n.out[r], destTargets{dest: int(entries[i].dest), targets: targets})
-		n.BoundaryEntries += int64(len(targets))
 		i = j
 	}
+	return runs
 }
 
 // Bootstrap marks every component with boundary targets as changed, so the
@@ -246,7 +306,7 @@ func (n *Node) markChanged(r uint32) {
 //   - delta-only emission: only components whose label changed since the
 //     last Emit appear at all;
 //   - zero-convergence suppression: a component that changed to 0 ships that
-//     final 0 once, marks each target as known-zero, and frees its lists;
+//     final 0 once, marks each target as known-zero, and drops its lists;
 //     entries from any component targeting a known-zero vertex are dropped
 //     (the target's label is already the global minimum) and counted in
 //     Suppressed;

@@ -1,0 +1,215 @@
+package shard
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"testing"
+
+	"thriftylp/graph"
+	"thriftylp/graph/gen"
+	"thriftylp/internal/core"
+	"thriftylp/internal/parallel"
+)
+
+// oracleBoundary is the original boundary build, kept as the reference the
+// linear build is pinned to: every cut slot becomes a (rep, dest, target)
+// triple, the triples are sorted, and each (rep, dest) run is deduplicated.
+func oracleBoundary(s *graph.CSRSlice, rep []uint32, ranges []parallel.Range) (out [][]destTargets, entries int64) {
+	type triple struct {
+		rep    uint32
+		dest   int32
+		target uint32
+	}
+	var ts []triple
+	for v := 0; v < s.NumLocal(); v++ {
+		for _, u := range s.Adj[s.Offsets[v]:s.Offsets[v+1]] {
+			if u < s.Lo || u >= s.Hi {
+				ts = append(ts, triple{rep: rep[v], dest: int32(OwnerOf(ranges, u)), target: u})
+			}
+		}
+	}
+	sort.Slice(ts, func(i, j int) bool {
+		a, b := ts[i], ts[j]
+		if a.rep != b.rep {
+			return a.rep < b.rep
+		}
+		if a.dest != b.dest {
+			return a.dest < b.dest
+		}
+		return a.target < b.target
+	})
+	out = make([][]destTargets, s.NumLocal())
+	for i := 0; i < len(ts); {
+		j := i
+		for j < len(ts) && ts[j].rep == ts[i].rep && ts[j].dest == ts[i].dest {
+			j++
+		}
+		var targets []uint32
+		for k := i; k < j; k++ {
+			if len(targets) == 0 || targets[len(targets)-1] != ts[k].target {
+				targets = append(targets, ts[k].target)
+			}
+		}
+		r := ts[i].rep
+		out[r] = append(out[r], destTargets{dest: int(ts[i].dest), targets: targets})
+		entries += int64(len(targets))
+		i = j
+	}
+	return out, entries
+}
+
+// checkAgainstOracle builds the node for slice s and requires its boundary
+// lists and entry count to equal the oracle's exactly.
+func checkAgainstOracle(t *testing.T, s *graph.CSRSlice, ranges []parallel.Range, hub uint32) *Node {
+	t.Helper()
+	n, canceled, err := NewNode(0, s, ranges, hub, core.Config{})
+	if err != nil || canceled {
+		t.Fatalf("[%d,%d): NewNode: canceled=%v err=%v", s.Lo, s.Hi, canceled, err)
+	}
+	want, entries := oracleBoundary(s, n.rep, ranges)
+	if n.BoundaryEntries != entries {
+		t.Fatalf("[%d,%d): BoundaryEntries %d, oracle %d", s.Lo, s.Hi, n.BoundaryEntries, entries)
+	}
+	if len(n.out) != len(want) {
+		t.Fatalf("[%d,%d): %d component slots, oracle %d", s.Lo, s.Hi, len(n.out), len(want))
+	}
+	for r := range want {
+		if err := sameDestTargets(n.out[r], want[r]); err != nil {
+			t.Fatalf("[%d,%d) component %d: %v", s.Lo, s.Hi, r, err)
+		}
+	}
+	return n
+}
+
+func sameDestTargets(got, want []destTargets) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d destinations, oracle %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].dest != want[i].dest {
+			return fmt.Errorf("list %d: dest %d, oracle %d", i, got[i].dest, want[i].dest)
+		}
+		if !slices.Equal(got[i].targets, want[i].targets) {
+			return fmt.Errorf("dest %d: targets %v, oracle %v", want[i].dest, got[i].targets, want[i].targets)
+		}
+	}
+	return nil
+}
+
+// TestBoundaryMatchesOracleFamilies pins the linear boundary build to the
+// triple-sort oracle on all ten generator families at 1, 2, 4 and 8 shards.
+func TestBoundaryMatchesOracleFamilies(t *testing.T) {
+	families := map[string]*graph.Graph{
+		"rmat":         mustGraph(gen.RMAT(gen.DefaultRMAT(11, 8, 42))),
+		"rmat-compact": mustGraph(gen.RMATCompact(gen.DefaultRMAT(11, 8, 42))),
+		"web":          mustGraph(gen.Web(gen.DefaultWeb(10, 42))),
+		"road":         mustGraph(gen.Grid(gen.GridConfig{Rows: 48, Cols: 48, DropFraction: 0.05, Seed: 42})),
+		"er":           mustGraph(gen.ErdosRenyi(1<<11, 1<<13, 42)),
+		"ba":           mustGraph(gen.BarabasiAlbert(3_000, 3, 42)),
+		"star":         mustGraph(gen.Star(4_000)),
+		"path":         mustGraph(gen.Path(4_000)),
+		"cliques":      mustGraph(gen.Components(12, 20)),
+		"complete":     mustGraph(gen.Complete(120)),
+	}
+	for name, g := range families {
+		t.Run(name, func(t *testing.T) {
+			for _, k := range []int{1, 2, 4, 8} {
+				gs := NewGraphSource(g, k)
+				for i := 0; i < gs.Shards(); i++ {
+					sl, err := gs.Slice(i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkAgainstOracle(t, sl, gs.Ranges(), gs.Hub())
+				}
+			}
+		})
+	}
+}
+
+// TestBoundaryMatchesOracleEdgeCases covers what the generators do not
+// produce: duplicate neighbours (a multi-edge, and two vertices of one
+// component sharing a target), self-loops on both sides of the cut,
+// isolated vertices, an empty shard range, and one component whose
+// targets span three destination shards.
+func TestBoundaryMatchesOracleEdgeCases(t *testing.T) {
+	// Shards: [0,4) [4,4) [4,6) [6,9) [9,12).
+	ranges := []parallel.Range{{Lo: 0, Hi: 4}, {Lo: 4, Hi: 4}, {Lo: 4, Hi: 6}, {Lo: 6, Hi: 9}, {Lo: 9, Hi: 12}}
+	edges := [][2]uint32{
+		{0, 1}, {1, 2}, {0, 0}, // component {0,1,2} with a self-loop; 3 isolated
+		{0, 5}, {0, 5}, {1, 5}, // target 5 twice from 0 and once from 1
+		{2, 6}, {0, 7}, // into [6,9)
+		{2, 9}, {1, 10}, {2, 11}, // into [9,12)
+		{4, 5}, {6, 7}, {7, 7}, {9, 10}, // remote structure; 8 isolated
+	}
+	g := mustGraph(csrFromEdges(12, edges))
+	hub := g.MaxDegreeVertex()
+	for i, r := range ranges {
+		sl, err := graph.SliceFromGraph(g, r.Lo, r.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := checkAgainstOracle(t, sl, ranges, hub)
+		if i != 0 {
+			continue
+		}
+		if got := len(n.out[n.rep[0]]); got != 3 {
+			t.Fatalf("component of vertex 0 spans %d destinations, want 3", got)
+		}
+		if n.BoundaryEntries != 6 {
+			t.Fatalf("shard 0 has %d boundary entries, want 6 (targets 5,6,7,9,10,11)", n.BoundaryEntries)
+		}
+	}
+}
+
+// csrFromEdges builds a symmetric CSR that keeps duplicate edges and
+// self-loops (a self-loop occupies one slot); graph.BuildUndirected would
+// normalize both away.
+func csrFromEdges(n int, edges [][2]uint32) (*graph.Graph, error) {
+	rows := make([][]uint32, n)
+	for _, e := range edges {
+		rows[e[0]] = append(rows[e[0]], e[1])
+		if e[0] != e[1] {
+			rows[e[1]] = append(rows[e[1]], e[0])
+		}
+	}
+	offsets := make([]int64, n+1)
+	var adj []uint32
+	for v, row := range rows {
+		adj = append(adj, row...)
+		offsets[v+1] = int64(len(adj))
+	}
+	return graph.FromCSR(offsets, adj)
+}
+
+// BenchmarkNewNode measures the sharded path's solve phase — every shard's
+// interior solve and boundary build — on RMAT-14 cut into two in-memory
+// shards, without the file I/O or the exchange.
+func BenchmarkNewNode(b *testing.B) {
+	g := mustGraph(gen.RMATCompact(gen.DefaultRMAT(14, 16, 42)))
+	gs := NewGraphSource(g, 2)
+	ranges, hub := gs.Ranges(), gs.Hub()
+	parts := make([]*graph.CSRSlice, gs.Shards())
+	for i := range parts {
+		sl, err := gs.Slice(i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		parts[i] = sl
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		for i, sl := range parts {
+			n, _, err := NewNode(i, sl, ranges, hub, core.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchNode = n
+		}
+	}
+}
+
+// benchNode keeps BenchmarkNewNode's result live.
+var benchNode *Node

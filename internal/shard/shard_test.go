@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -53,6 +54,24 @@ func TestCodecRoundTrip(t *testing.T) {
 				t.Fatalf("case %d: vertex %d decoded label %d, want %d", i, p.V, p.L, min[p.V])
 			}
 		}
+	}
+}
+
+// TestCodecGoldenBytes fixes the wire encoding of an unsorted batch with
+// duplicate vertices: pairs sorted by vertex, the minimum label kept per
+// vertex, uvarint deltas from base, appended after the caller's bytes.
+func TestCodecGoldenBytes(t *testing.T) {
+	pairs := []Pair{{V: 4242, L: 3}, {V: 100, L: 9}, {V: 9999, L: 0}, {V: 100, L: 4}, {V: 4242, L: 1}}
+	got := AppendPairs([]byte{0xEE}, 100, pairs)
+	want := []byte{
+		0xEE,       // caller's prefix
+		0x03,       // three distinct vertices
+		0x00, 0x04, // 100: delta 0 from base, min label 4
+		0xAE, 0x20, 0x01, // 4242: delta 4142, min label 1
+		0xFD, 0x2C, 0x00, // 9999: delta 5757, label 0
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("encoded % x, want % x", got, want)
 	}
 }
 
