@@ -7,11 +7,11 @@ import (
 )
 
 // This file defines the compile-time instrumentation policy the traversal
-// kernels are generic over. Every kernel (Thrifty push/pull/initial-push,
-// DO-LP push/pull, unified DO-LP push/pull, plain LP, and the sweeps they
-// run under) is written once, parameterized by a policy type; the run's
-// Config selects the policy once, so hot loops never branch on "is
-// instrumentation on?" per edge.
+// kernels are generic over. Every kernel (Thrifty push/pull/initial-push in
+// thrifty.go; the one push sweep and one pull sweep that DO-LP, DO-LP+Unified
+// and plain LP share in labelprop.go) is written once, parameterized by a
+// policy type; the run's Config selects the policy once, so hot loops never
+// branch on "is instrumentation on?" per edge.
 //
 //   - noInstr is the fast path: every hook is an empty method on a
 //     zero-size value. Go monomorphizes generic functions per concrete

@@ -116,6 +116,14 @@ var seedCounterGoldens = []struct {
 	{"components-4x8", "dolp", 448, 64, 576, 92, 0, 512, 12},
 	{"components-4x8", "dolp-unified", 448, 64, 512, 28, 0, 512, 4},
 	{"components-4x8", "lp", 448, 64, 512, 28, 0, 512, 0},
+	{"rmat-small", "thrifty", 3160, 9022, 11281, 3005, 901, 16480, 751},
+	{"rmat-small", "dolp", 214437, 12281, 244760, 26126, 301, 226465, 3142},
+	{"rmat-small", "dolp-unified", 160612, 9030, 169642, 3653, 10, 169633, 572},
+	{"rmat-small", "lp", 321204, 18042, 339246, 8084, 0, 339246, 0},
+	{"weblike-small", "thrifty", 2087, 3335, 4666, 1257, 756, 6886, 407},
+	{"weblike-small", "dolp", 70884, 5254, 180484, 107758, 2044, 75100, 13791},
+	{"weblike-small", "dolp-unified", 51972, 3334, 55306, 1304, 342, 55134, 352},
+	{"weblike-small", "lp", 1703790, 104346, 1808136, 3372, 0, 1808136, 0},
 }
 
 func TestInstrumentedCountersMatchSeed(t *testing.T) {

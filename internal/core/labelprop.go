@@ -1,0 +1,401 @@
+package core
+
+import (
+	"time"
+	"unsafe"
+
+	"thriftylp/graph"
+	"thriftylp/internal/atomicx"
+	"thriftylp/internal/bitmap"
+	"thriftylp/internal/counters"
+	"thriftylp/internal/parallel"
+)
+
+// This file holds the label-propagation baselines: DO-LP (Algorithm 1), its
+// Unified Labels ablation, and textbook LP. DO-LP and DO-LP+Unified share
+// one run loop, and all three share one push and one pull sweep.
+
+// labelAccess selects at compile time how the sweeps read and write labels.
+// Each instantiation of a sweep is compiled separately (the two types have
+// different sizes, hence different gc-shapes), and the unsafe.Sizeof test in
+// loadLabel/storeLabel folds to a constant, exactly like the instr gates.
+//
+//   - splitLabels: reads come from an old array no thread writes during the
+//     sweep, and each pull store targets the worker's own vertex, so loads
+//     and stores stay plain. On amd64 an atomic store is an XCHG; the
+//     two-array kernels must not pay for it.
+//   - sharedLabels: one array is read and written concurrently, so every
+//     access is atomic. A label written early in an iteration is visible to
+//     vertices processed later in the same iteration (§IV-A).
+type labelAccess interface{ splitLabels | sharedLabels }
+
+type splitLabels struct{}
+type sharedLabels struct{ _ byte }
+
+// shared reports whether A reads and writes one labels array.
+func shared[A labelAccess]() bool {
+	var a A
+	return unsafe.Sizeof(a) != 0
+}
+
+// loadLabel and storeLabel spell the Sizeof test out instead of calling
+// shared: a generic call nested in an inlined generic call leaves a
+// dictionary load and nil check in the sweeps' per-edge loops.
+func loadLabel[A labelAccess](labels []uint32, v uint32) uint32 {
+	var a A
+	if unsafe.Sizeof(a) != 0 {
+		return atomicx.LoadUint32(&labels[v])
+	}
+	return labels[v]
+}
+
+func storeLabel[A labelAccess](labels []uint32, v, l uint32) {
+	var a A
+	if unsafe.Sizeof(a) != 0 {
+		atomicx.StoreUint32(&labels[v], l)
+		return
+	}
+	labels[v] = l
+}
+
+// frontierState tracks the active-vertex bitmap and the vertex/edge counts
+// that drive the push/pull direction decision of Algorithm 1 (line 7:
+// density = (|F.V| + |F.E|) / |E|). Edge counts use directed adjacency
+// slots in both numerator and denominator so the ratio is representation
+// independent.
+type frontierState struct {
+	bm      *bitmap.Bitmap
+	activeV int64
+	activeE int64
+}
+
+// recount recomputes the active vertex and edge totals from the bitmap.
+// The scan is word-at-a-time (TrailingZeros64 drain): after the first few
+// iterations the frontier is sparse, so most 64-bit words are zero and cost
+// one load instead of 64 per-bit probes.
+func (f *frontierState) recount(pool *parallel.Pool, g *graph.Graph) {
+	n := g.NumVertices()
+	offs := g.Offsets()
+	var av, ae int64
+	parallel.For(pool, n, 4096, func(_, lo, hi int) {
+		var v, e int64
+		f.bm.ForEachRange(lo, hi, func(i int) {
+			v++
+			e += offs[i+1] - offs[i]
+		})
+		atomicx.AddInt64(&av, v)
+		atomicx.AddInt64(&ae, e)
+	})
+	f.activeV, f.activeE = av, ae
+}
+
+// density returns (|F.V|+|F.E|)/|E| over directed slots.
+func (f *frontierState) density(g *graph.Graph) float64 {
+	m := g.NumDirectedEdges()
+	if m == 0 {
+		return 0
+	}
+	return float64(f.activeV+f.activeE) / float64(m)
+}
+
+// extract gathers the set bits into a vertex list (dense→sparse frontier
+// conversion before a push iteration), word-at-a-time via AppendRange: a
+// push iteration only runs when the frontier is below the density threshold,
+// which is exactly when most bitmap words are zero and the drain loop skips
+// them in one branch each.
+func (f *frontierState) extract(pool *parallel.Pool) []uint32 {
+	threads := pool.Threads()
+	partial := make([][]uint32, threads)
+	n := f.bm.Len()
+	parallel.For(pool, n, 8192, func(tid, lo, hi int) {
+		partial[tid] = f.bm.AppendRange(partial[tid], lo, hi) //thrifty:benign-race per-thread collection buffer indexed by tid
+	})
+	out := make([]uint32, 0, f.activeV)
+	for _, p := range partial {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// DOLP is Direction-Optimizing Label Propagation, a faithful implementation
+// of Algorithm 1 of the paper: two labels arrays (old/new), a frontier of
+// vertices whose label changed, push traversal with atomic-min when the
+// frontier is sparse, pull traversal over all vertices when dense, and an
+// end-of-iteration labels-array synchronization pass. This is the paper's
+// primary baseline (its column in Table IV, Fig 5-8, and the reference
+// against which Thrifty's 25.2× average speedup is quoted).
+func DOLP(g *graph.Graph, cfg Config) Result { return dolp[splitLabels](g, cfg) }
+
+// DOLPUnified is Direction-Optimizing Label Propagation with exactly one of
+// Thrifty's four optimizations applied: the Unified Labels Array (§IV-A).
+// A single labels array replaces the old/new pair, so a label written early
+// in an iteration is already visible to vertices processed later in the
+// same iteration, and the end-of-iteration synchronization pass disappears.
+// No zero planting, zero convergence, or initial push.
+//
+// This variant exists for the ablation of Fig 9/10: the gap between DOLP
+// and DOLPUnified measures the Unified Labels contribution (~65% of
+// Thrifty's total improvement in the paper), and the gap between
+// DOLPUnified and Thrifty measures the other three techniques combined.
+func DOLPUnified(g *graph.Graph, cfg Config) Result { return dolp[sharedLabels](g, cfg) }
+
+func dolp[A labelAccess](g *graph.Graph, cfg Config) Result {
+	n := g.NumVertices()
+	read := cfg.Arena.Uint32s(n)
+	write := read
+	if !shared[A]() {
+		write = cfg.Arena.Uint32s(n)
+	}
+	switch {
+	case cfg.Faults != nil:
+		return dolpRun[A](g, cfg, read, write, newChaos(cfg))
+	case !cfg.fastInstr():
+		return dolpRun[A](g, cfg, read, write, newCounting(cfg))
+	default:
+		return dolpRun[A](g, cfg, read, write, noInstr{})
+	}
+}
+
+// dolpRun is the run loop of Algorithm 1. Sweeps read labels from read and
+// write them to write; for DOLPUnified the two are the same slice.
+func dolpRun[A labelAccess, I instr[I]](g *graph.Graph, cfg Config, read, write []uint32, proto I) Result {
+	pool := cfg.pool()
+	n := g.NumVertices()
+	threshold := cfg.threshold(DefaultDOLPThreshold)
+
+	// Initial label assignment (lines 2-4): every label is the vertex id,
+	// and every vertex starts active.
+	parallel.Fill(pool, read, func(i int) uint32 { return uint32(i) })
+	if !shared[A]() {
+		parallel.Copy(pool, write, read)
+	}
+	oldFr := frontierState{bm: cfg.Arena.Bitmap(n)}
+	newFr := frontierState{bm: cfg.Arena.Bitmap(n)}
+	oldFr.bm.SetAll()
+	oldFr.activeV = int64(n)
+	oldFr.activeE = g.NumDirectedEdges()
+	sch := newScheduler(g, cfg, pool)
+
+	res := Result{}
+	maxIters := cfg.maxIters(n)
+	phases := make(map[string]time.Duration, 2)
+	for oldFr.activeV > 0 && res.Iterations < maxIters {
+		start := time.Now()
+		ctrBefore := cfg.Ctr.Total(counters.EdgesProcessed)
+		rec := counters.IterRecord{
+			Index:       res.Iterations,
+			Active:      oldFr.activeV,
+			ActiveEdges: oldFr.activeE,
+			Density:     oldFr.density(g),
+			Threshold:   threshold,
+		}
+		if rec.Density < threshold {
+			// Push traversal (lines 9-12).
+			rec.Kind = counters.KindPush
+			res.PushIterations++
+			rec.Changed = pushSweep[A](g, pool, read, write, oldFr.extract(pool), newFr.bm, cfg.Stop, proto)
+		} else {
+			// Pull traversal (lines 13-20): all vertices, ignoring frontier
+			// membership of neighbours.
+			rec.Kind = counters.KindPull
+			res.PullIterations++
+			rec.Changed = pullSweep[A](g, sch, read, write, newFr.bm, cfg.Stop, proto)
+		}
+
+		if !shared[A]() {
+			// Synchronize labels arrays (lines 21-22). The sync pass streams
+			// both arrays through the cache hierarchy — 2n label accesses and
+			// 2·⌈n/16⌉ cache lines per iteration — which is precisely the
+			// traffic the Unified Labels Array removes, so the
+			// instrumentation must charge it.
+			parallel.Copy(pool, read, write)
+			if cfg.Ctr != nil {
+				cfg.Ctr.Add(0, counters.LabelLoads, int64(n))
+				cfg.Ctr.Add(0, counters.LabelStores, int64(n))
+				cfg.Ctr.Add(0, counters.CacheLines, 2*int64((n+15)/16))
+			}
+		}
+		newFr.recount(pool, g)
+		oldFr, newFr = newFr, oldFr
+		newFr.bm.Reset()
+		newFr.activeV, newFr.activeE = 0, 0
+		cfg.Lines.FlushIteration(cfg.Ctr, 0)
+
+		res.Iterations++
+		rec.Edges = cfg.Ctr.Total(counters.EdgesProcessed) - ctrBefore
+		rec.Duration = time.Since(start)
+		phases[string(rec.Kind)] += rec.Duration
+		traceIter(cfg, pool, rec, read)
+		// Cancellation before the loop condition re-evaluates: a cancelled
+		// sweep skips partitions, and the resulting empty frontier means
+		// "aborted", not "converged".
+		if cfg.cancelPoint(&res, string(rec.Kind)) {
+			break
+		}
+	}
+	res.Labels = write
+	res.Sched = sch.stealStats()
+	res.PhaseDurations = phases
+	return res
+}
+
+// LP is the textbook synchronous Label Propagation CC (§II): every vertex,
+// every iteration, takes the minimum of its own and its neighbours' labels
+// from the previous iteration's array, until a fixed point. It has no
+// frontier, no direction optimization and no convergence shortcuts — it is
+// the semantic reference the optimized variants are validated against, and
+// the zero line for measuring what DO-LP's frontier machinery buys.
+func LP(g *graph.Graph, cfg Config) Result {
+	switch {
+	case cfg.Faults != nil:
+		return lpRun(g, cfg, newChaos(cfg))
+	case !cfg.fastInstr():
+		// Built without the line tracker: LP's counter profile has never
+		// included cache lines, and its sweep's Touch hooks stay no-ops.
+		return lpRun(g, cfg, counting{ctr: cfg.Ctr})
+	default:
+		return lpRun(g, cfg, noInstr{})
+	}
+}
+
+func lpRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
+	pool := cfg.pool()
+	n := g.NumVertices()
+	oldLbs := cfg.Arena.Uint32s(n)
+	newLbs := cfg.Arena.Uint32s(n)
+	parallel.Fill(pool, oldLbs, func(i int) uint32 { return uint32(i) })
+	parallel.Copy(pool, newLbs, oldLbs)
+	sch := newScheduler(g, cfg, pool)
+
+	res := Result{}
+	maxIters := cfg.maxIters(n)
+	var pullTime time.Duration
+	totalE := g.Offsets()[n] // every iteration scans the full adjacency
+	for res.Iterations < maxIters {
+		start := time.Now()
+		ebefore := cfg.Ctr.Total(counters.EdgesProcessed)
+		// LP has no frontier and no direction decision: every vertex is
+		// active every iteration, density is by definition 1 and there is
+		// no threshold to compare against.
+		rec := counters.IterRecord{Index: res.Iterations, Kind: counters.KindPull, Active: int64(n), ActiveEdges: totalE, Density: 1}
+		rec.Changed = pullSweep[splitLabels](g, sch, oldLbs, newLbs, nil, cfg.Stop, proto)
+		res.Iterations++
+		rec.Edges = cfg.Ctr.Total(counters.EdgesProcessed) - ebefore
+		rec.Duration = time.Since(start)
+		pullTime += rec.Duration
+		traceIter(cfg, pool, rec, newLbs)
+		// The cancellation check must precede the convergence check: a
+		// cancelled sweep skips partitions, and its changed count of 0
+		// means "aborted", not "fixed point".
+		if cfg.cancelPoint(&res, string(counters.KindPull)) {
+			break
+		}
+		if rec.Changed == 0 {
+			break
+		}
+		parallel.Copy(pool, oldLbs, newLbs)
+	}
+	res.Labels = newLbs
+	res.PullIterations = res.Iterations
+	res.Sched = sch.stealStats()
+	res.PhaseDurations = map[string]time.Duration{string(counters.KindPull): pullTime}
+	return res
+}
+
+// traceIter records one iteration when tracing is on, filling in Zero —
+// the vertices holding label 0 — as Thrifty does. The count is paid only
+// when tracing.
+func traceIter(cfg Config, pool *parallel.Pool, rec counters.IterRecord, labels []uint32) {
+	if !cfg.Trace.Enabled() {
+		return
+	}
+	rec.Zero = countZeros(pool, labels)
+	cfg.Trace.Record(rec, labels)
+}
+
+// pushSweep runs one push iteration over the sparse frontier active: each
+// active vertex propagates its label from read to its neighbours' labels in
+// write with atomic-min, marking lowered neighbours in fr. Returns the
+// number of newly activated vertices.
+//
+//thrifty:hotpath
+func pushSweep[A labelAccess, I instr[I]](g *graph.Graph, pool *parallel.Pool, read, write, active []uint32, fr *bitmap.Bitmap, stop *Stop, proto I) int64 {
+	offs, adj := g.Offsets(), g.Adjacency()
+	var changed int64
+	parallel.For(pool, len(active), 512, func(tid, lo, hi int) {
+		ins := proto.Fresh()
+		if stop.Requested() {
+			return // cancellation poll at chunk entry
+		}
+		var local int64
+		for _, v := range active[lo:hi] {
+			iVisit(ins)
+			lv := loadLabel[A](read, v)
+			iLoad(ins)
+			for _, u := range adj[offs[v]:offs[v+1]] {
+				iEdge(ins)
+				iLoad(ins)
+				iCAS(ins)
+				iBranch(ins)
+				iTouch(ins, u)
+				if atomicx.MinUint32(&write[u], lv) {
+					iStore(ins)
+					if fr.SetAtomic(int(u)) {
+						local++
+					}
+				}
+			}
+		}
+		iFlush(ins, tid)
+		atomicx.AddInt64(&changed, local)
+	})
+	return changed
+}
+
+// pullSweep runs one pull iteration: every vertex takes the minimum of its
+// own and its neighbours' labels in read into its label in write, marking
+// changed vertices in fr when fr is non-nil. Returns the number of changed
+// vertices. Under sharedLabels a neighbour read may observe a label written
+// earlier in this same iteration, which is what accelerates wavefront
+// propagation.
+//
+//thrifty:hotpath
+func pullSweep[A labelAccess, I instr[I]](g *graph.Graph, sch *scheduler, read, write []uint32, fr *bitmap.Bitmap, stop *Stop, proto I) int64 {
+	offs, adj := g.Offsets(), g.Adjacency()
+	var changed int64
+	sch.sweep(func(tid, lo, hi int) {
+		ins := proto.Fresh()
+		if stop.Requested() {
+			return // cancellation poll at partition entry
+		}
+		var local int64
+		for v := lo; v < hi; v++ {
+			iVisit(ins)
+			own := loadLabel[A](read, uint32(v))
+			newLabel := own
+			iLoad(ins)
+			iTouch(ins, uint32(v))
+			for _, u := range adj[offs[v]:offs[v+1]] {
+				iEdge(ins)
+				iLoad(ins)
+				iBranch(ins)
+				iTouch(ins, u)
+				if l := loadLabel[A](read, u); l < newLabel {
+					newLabel = l
+				}
+			}
+			iBranch(ins)
+			if newLabel < own {
+				storeLabel[A](write, uint32(v), newLabel)
+				iStore(ins)
+				if fr != nil {
+					fr.SetAtomic(v) // chunks share words at their edges
+				}
+				local++
+			}
+		}
+		iFlush(ins, tid)
+		atomicx.AddInt64(&changed, local)
+	})
+	return changed
+}

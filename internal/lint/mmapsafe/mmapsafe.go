@@ -29,6 +29,7 @@
 package mmapsafe
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -389,7 +390,16 @@ func (c *checker) analyzeVar(graph *cfg.CFG, tv *tracked) {
 	inWork := map[*cfg.Block]bool{graph.Entry: true}
 	reported := map[token.Pos]bool{}
 
-	for len(work) > 0 {
+	// A block is queued only when its two-bit state grows, which it can do
+	// at most twice: a fixpoint takes at most 2·|blocks| visits. Going past
+	// that means the state is no longer a monotone union — fail loudly
+	// rather than spin.
+	budget := 2 * len(graph.Blocks)
+	for visits := 0; len(work) > 0; visits++ {
+		if visits == budget {
+			panic(fmt.Sprintf("mmapsafe: fixpoint for %s at %s exceeded %d block visits",
+				tv.name, c.pass.Fset.Position(tv.obj.Pos()), budget))
+		}
 		blk := work[0]
 		work = work[1:]
 		inWork[blk] = false

@@ -180,13 +180,9 @@ func pushIter(g *graph.Graph, p Program, pool *parallel.Pool, values []uint32, c
 			x := atomicx.LoadUint32(&values[v])
 			out := p.EdgeFn(x)
 			for _, u := range g.Neighbors(v) {
-				if atomicx.MinUint32(&values[u], out) {
-					wasNew := !next.Contains(u)
-					next.Add(tid, u)
-					if wasNew {
-						lv++
-						le += int64(g.Degree(u))
-					}
+				if atomicx.MinUint32(&values[u], out) && next.AddIfAbsent(tid, u) {
+					lv++
+					le += int64(g.Degree(u))
 				}
 			}
 		})
