@@ -11,6 +11,7 @@ package thriftylp_test
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -448,4 +449,47 @@ func BenchmarkGraphBuild(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(edges))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
+}
+
+// BenchmarkIngest measures end-to-end graph ingestion through graph.Ingest —
+// text edge-list parse plus CSR build, and binary CSR load — on one RMAT
+// fixture; the bytes/op setting makes `go test` report input MB/s.
+func BenchmarkIngest(b *testing.B) {
+	g, err := gen.RMATCompact(gen.DefaultRMAT(16, 8, 42))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	el, bin := filepath.Join(dir, "g.el"), filepath.Join(dir, "g.bin")
+	f, err := os.Create(el)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := graph.WriteEdgeList(f, g); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if err := graph.SaveBinary(bin, g); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct{ name, path string }{{"edgelist", el}, {"binary", bin}} {
+		fi, err := os.Stat(c.path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(fi.Size())
+			for i := 0; i < b.N; i++ {
+				h, _, err := graph.Ingest(c.path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := h.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -8,40 +8,10 @@
 //	ccbench -exp fig5 -scale large -reps 5 -csv out.csv
 //
 // Experiment ids follow the paper's numbering: table1, table2, table4,
-// table5, table6, table7, fig1, fig2, fig3, fig5, fig6, fig7, fig9.
-//
-// With -json, ccbench instead runs the perf-regression suite (uninstrumented
-// fast-path timings of every label-propagation kernel on the fixed
-// medium-scale fixtures) and writes machine-readable results to the given
-// file — `make bench-json` uses this to refresh BENCH_thrifty.json:
-//
-//	ccbench -json BENCH_thrifty.json -reps 5
-//	ccbench -json auto.json -algo auto      # only the selector; records carry "selected"
-//
-// With -ingest-json, ccbench additionally (or alone) runs the ingestion
-// regression suite — text edge-list parse+build and binary CSR load, frozen
-// sequential baseline vs the parallel zero-copy pipeline — and writes
-// machine-readable results to the given file — `make bench-json` uses this
-// to refresh BENCH_ingest.json:
-//
-//	ccbench -ingest-json BENCH_ingest.json -reps 5
-//
-// With -serve-json, ccbench runs the serving load test — a real thriftyd
-// query server (internal/serve) on a loopback listener, driven by concurrent
-// clients across all four query endpoints — and writes per-endpoint QPS and
-// latency percentiles to the given file — `make bench-json` uses this to
-// refresh BENCH_serve.json:
-//
-//	ccbench -serve-json BENCH_serve.json -reps 5
-//
-// With -shard-json, ccbench runs the sharded-exchange regression gate — the
-// out-of-core pipeline (cc.AlgoShard) on hub-heavy fixtures at several shard
-// counts, with unsharded Thrifty as the denominator and the streamed
-// sharded generator's memory accounting attached. The run FAILS if the
-// compacted exchange does not beat the naive flat encoding — `make
-// bench-json` uses this to refresh BENCH_shard.json:
-//
-//	ccbench -shard-json BENCH_shard.json -reps 5
+// table5, table6, table7, fig1, fig2, fig3, fig5, fig6, fig7, fig9; -list
+// prints every id, the extension experiments (dist, async, scaling,
+// connectit, ablations) included. Commit-against-commit performance
+// tracking lives in the repository benchmark (benchmark/README.md), not here.
 package main
 
 import (
@@ -51,11 +21,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"slices"
 	"strings"
 	"time"
 
-	"thriftylp/cc"
 	"thriftylp/internal/harness"
 	"thriftylp/internal/obs"
 )
@@ -67,14 +35,8 @@ func main() {
 		reps    = flag.Int("reps", 3, "timed repetitions per measurement (min is reported)")
 		threads = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 		csvPath = flag.String("csv", "", "also append results as CSV to this file")
-		jsonOut = flag.String("json", "", "run the perf-regression suite and write JSON results to this file")
-		algoSel = flag.String("algo", "", "with -json: comma-separated algorithms to time (e.g. 'auto' or 'thrifty,auto'); empty = default regression set")
-		ingOut  = flag.String("ingest-json", "", "run the ingestion regression suite and write JSON results to this file")
-		srvOut  = flag.String("serve-json", "", "run the serving load test and write JSON results to this file")
-		shdOut  = flag.String("shard-json", "", "run the sharded-exchange regression gate and write JSON results to this file")
 		list    = flag.Bool("list", false, "list available experiments and exit")
 		timeout = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
-		trace   = flag.String("trace", "", "with -json: write per-iteration trace records of one instrumented run per cell to this JSONL file")
 		httpAd  = flag.String("http", "", "serve /metrics, expvar and /debug/pprof on this address while the suite runs")
 	)
 	flag.Parse()
@@ -103,21 +65,6 @@ func main() {
 		Ctx:     ctx,
 	}
 
-	if *trace != "" && *jsonOut == "" {
-		fatalf("-trace requires -json (tracing instruments the regression suite cells)")
-	}
-	if *algoSel != "" {
-		if *jsonOut == "" {
-			fatalf("-algo requires -json (it restricts the regression suite; experiments fix their own algorithms)")
-		}
-		for _, name := range strings.Split(*algoSel, ",") {
-			a := cc.Algorithm(strings.TrimSpace(name))
-			if !slices.Contains(cc.Algorithms(), a) {
-				fatalf("unknown algorithm %q (known: %v)", a, cc.Algorithms())
-			}
-			cfg.Algos = append(cfg.Algos, a)
-		}
-	}
 	if *httpAd != "" {
 		srv, err := obs.Serve(*httpAd, obs.NewRegistry(), nil)
 		if err != nil {
@@ -125,112 +72,6 @@ func main() {
 		}
 		defer srv.Close()
 		fmt.Printf("debug server listening on %s\n", srv.URL())
-	}
-
-	if *ingOut != "" {
-		prev, prevErr := harness.ReadIngestReport(*ingOut)
-		start := time.Now()
-		rep, err := harness.IngestRegression(cfg)
-		if err != nil {
-			fatalf("ingest regression: %v", err)
-		}
-		if err := rep.WriteJSON(*ingOut); err != nil {
-			fatalf("writing %s: %v", *ingOut, err)
-		}
-		if prevErr == nil {
-			for _, line := range rep.HostMismatch(prev) {
-				fmt.Fprintf(os.Stderr, "ccbench: warning: host mismatch vs previous %s: %s\n", *ingOut, line)
-			}
-		}
-		fmt.Print(rep.Render())
-		fmt.Printf("(ingestion suite completed in %v, wrote %s)\n",
-			time.Since(start).Round(time.Millisecond), *ingOut)
-		if *jsonOut == "" && *srvOut == "" && *shdOut == "" {
-			return
-		}
-	}
-
-	if *srvOut != "" {
-		prev, prevErr := harness.ReadServeReport(*srvOut)
-		start := time.Now()
-		rep, err := harness.ServeRegression(cfg)
-		if err != nil {
-			fatalf("serve load test: %v", err)
-		}
-		if err := rep.WriteJSON(*srvOut); err != nil {
-			fatalf("writing %s: %v", *srvOut, err)
-		}
-		if prevErr == nil {
-			for _, line := range rep.HostMismatch(prev) {
-				fmt.Fprintf(os.Stderr, "ccbench: warning: host mismatch vs previous %s: %s\n", *srvOut, line)
-			}
-		}
-		fmt.Print(rep.Render())
-		fmt.Printf("(serving load test completed in %v, wrote %s)\n",
-			time.Since(start).Round(time.Millisecond), *srvOut)
-		if *jsonOut == "" && *shdOut == "" {
-			return
-		}
-	}
-
-	if *shdOut != "" {
-		prev, prevErr := harness.ReadShardReport(*shdOut)
-		start := time.Now()
-		rep, err := harness.ShardRegression(cfg)
-		if err != nil {
-			fatalf("shard regression: %v", err)
-		}
-		if err := rep.WriteJSON(*shdOut); err != nil {
-			fatalf("writing %s: %v", *shdOut, err)
-		}
-		if prevErr == nil {
-			for _, line := range rep.HostMismatch(prev) {
-				fmt.Fprintf(os.Stderr, "ccbench: warning: host mismatch vs previous %s: %s\n", *shdOut, line)
-			}
-		}
-		fmt.Print(rep.Render())
-		fmt.Printf("(sharded regression gate completed in %v, wrote %s)\n",
-			time.Since(start).Round(time.Millisecond), *shdOut)
-		if *jsonOut == "" {
-			return
-		}
-	}
-
-	if *jsonOut != "" {
-		if *trace != "" {
-			tw, err := obs.CreateTrace(*trace)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			defer func() {
-				if err := tw.Close(); err != nil {
-					fatalf("closing trace: %v", err)
-				}
-			}()
-			cfg.Trace = tw
-		}
-		// The previous report (if any) is read before it is overwritten, so
-		// a host change between the two measurements can be flagged: a delta
-		// across differing hosts is not a code regression signal.
-		prev, prevErr := harness.ReadBenchReport(*jsonOut)
-
-		start := time.Now()
-		rep, err := harness.BenchRegression(cfg)
-		if err != nil {
-			fatalf("perf regression: %v", err)
-		}
-		if err := rep.WriteJSON(*jsonOut); err != nil {
-			fatalf("writing %s: %v", *jsonOut, err)
-		}
-		if prevErr == nil {
-			for _, line := range rep.HostMismatch(prev) {
-				fmt.Fprintf(os.Stderr, "ccbench: warning: host mismatch vs previous %s: %s\n", *jsonOut, line)
-			}
-		}
-		fmt.Print(rep.Render())
-		fmt.Printf("(regression suite completed in %v, wrote %s)\n",
-			time.Since(start).Round(time.Millisecond), *jsonOut)
-		return
 	}
 
 	ids := []string{*exp}

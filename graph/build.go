@@ -22,7 +22,6 @@ type buildConfig struct {
 	dedup       bool
 	dropLoops   bool
 	sortAdj     bool
-	legacyBuild bool
 	pool        *parallel.Pool
 }
 
@@ -48,15 +47,6 @@ func WithSortedAdjacency() BuildOption {
 	return func(c *buildConfig) { c.sortAdj = true }
 }
 
-// WithLegacyBuild forces the original atomic-cursor construction strategy.
-// It needs no per-thread histograms, so it is the memory-frugal fallback for
-// extreme vertex-to-edge ratios, and it serves as the frozen denominator in
-// the ingestion benchmark suite (internal/harness measures the atomic-free
-// pipeline against it).
-func WithLegacyBuild() BuildOption {
-	return func(c *buildConfig) { c.legacyBuild = true }
-}
-
 // WithBuildPool runs construction on the given worker pool instead of the
 // process-wide default. The caller keeps ownership of the pool.
 func WithBuildPool(p *parallel.Pool) BuildOption {
@@ -78,9 +68,10 @@ const parallelBuildCutoff = 1 << 15
 // and each worker scatters its own shard through its private cursors. The
 // resulting adjacency layout is deterministic — identical to a sequential
 // counting sort of the edge list — regardless of thread count. When the
-// histograms would not pay for themselves (tiny inputs, single-thread pools,
-// or pathological vertex-to-edge ratios) construction falls back to a
-// sequential counting sort or to the legacy atomic-cursor strategy.
+// histograms would not pay for themselves, construction falls back: tiny
+// inputs and single-thread pools take a sequential counting sort, and
+// pathological vertex-to-edge ratios take the legacy atomic-cursor strategy,
+// which needs no per-thread histograms and so is the memory-frugal choice.
 func BuildUndirected(edges []Edge, opts ...BuildOption) (*Graph, error) {
 	var cfg buildConfig
 	for _, o := range opts {
@@ -99,8 +90,6 @@ func BuildUndirected(edges []Edge, opts ...BuildOption) (*Graph, error) {
 	var offsets []int64
 	var adj []uint32
 	switch {
-	case cfg.legacyBuild:
-		offsets, adj = buildCSRAtomic(edges, n, cfg.dropLoops, pool)
 	case pool.Threads() == 1 || len(edges) < parallelBuildCutoff:
 		offsets, adj = buildCSRSerial(edges, n, cfg.dropLoops)
 	case !histogramFits(pool.Threads(), n, len(edges)):

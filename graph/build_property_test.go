@@ -113,8 +113,9 @@ func TestBuildStrategiesMatchReference(t *testing.T) {
 }
 
 // TestBuildUndirectedLegacyEquivalence checks the public entry point: the
-// default (histogram/serial) pipeline and WithLegacyBuild produce identical
-// graphs once adjacency order is canonicalized.
+// default (histogram/serial) pipeline and the legacy atomic-cursor strategy
+// BuildUndirected falls back to produce identical graphs once adjacency
+// order is canonicalized.
 func TestBuildUndirectedLegacyEquivalence(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
@@ -127,10 +128,10 @@ func TestBuildUndirectedLegacyEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2, err := BuildUndirected(edges, WithSortedAdjacency(), WithLegacyBuild(), WithBuildPool(pool))
-		if err != nil {
-			t.Fatal(err)
-		}
+		off, adj := buildCSRAtomic(edges, g1.NumVertices(), false, pool)
+		g2 := &Graph{offsets: off, adj: adj}
+		sortAdjacency(g2, pool)
+		g2.computeMaxDegree(pool)
 		if !slices.Equal(g1.Offsets(), g2.Offsets()) || !slices.Equal(g1.Adjacency(), g2.Adjacency()) {
 			t.Fatalf("trial %d: default and legacy builds disagree", trial)
 		}

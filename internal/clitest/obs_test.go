@@ -204,18 +204,6 @@ func scrapeMetric(body, name string) (int64, bool) {
 	return 0, false
 }
 
-// TestCcbenchTraceRequiresJSON: -trace is only meaningful for the regression
-// suite, so bare usage must fail fast.
-func TestCcbenchTraceRequiresJSON(t *testing.T) {
-	out, err := run(t, "ccbench", "-trace", "t.jsonl", "-exp", "table1")
-	if err == nil {
-		t.Fatalf("-trace without -json accepted:\n%s", out)
-	}
-	if !strings.Contains(out, "requires -json") {
-		t.Fatalf("unexpected error output:\n%s", out)
-	}
-}
-
 // TestGraphgenSummary: generation prints the degree-skew summary.
 func TestGraphgenSummary(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.bin")

@@ -139,35 +139,40 @@ func TestOnDiskSetMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestCompactionBeatsNaive asserts the exchange compaction invariant the
-// BENCH_shard gate enforces: on hub-heavy inputs the compacted exchange
-// ships strictly fewer bytes than the naive full-boundary exchange, and
+// TestCompactionBeatsNaive asserts the exchange compaction invariant: on
+// hub-heavy inputs, at 2, 4 and 8 shards, the compacted exchange ships
+// strictly fewer bytes than the naive full-boundary exchange, and
 // zero-convergence suppression actually fires.
 func TestCompactionBeatsNaive(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{
 		"rmat": mustGraph(gen.RMAT(gen.DefaultRMAT(12, 8, 42))),
 		"star": mustGraph(gen.Star(10_000)),
 	} {
-		res, err := Run(g, Config{Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.BoundaryEntries == 0 {
-			t.Fatalf("%s: no boundary entries at 4 shards", name)
-		}
-		if res.ExchangedBytes >= res.NaiveBytes {
-			t.Fatalf("%s: compacted exchange %d B >= naive %d B", name, res.ExchangedBytes, res.NaiveBytes)
-		}
-		if res.SuppressedVertices == 0 {
-			t.Fatalf("%s: zero-convergence suppression never fired", name)
-		}
-		var sumB, sumN int64
-		for _, r := range res.PerRound {
-			sumB += r.Bytes
-			sumN += r.NaiveBytes
-		}
-		if sumB != res.ExchangedBytes || sumN != res.NaiveBytes {
-			t.Fatalf("%s: per-round stats do not sum to totals", name)
+		for _, shards := range []int{2, 4, 8} {
+			res, err := Run(g, Config{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.BoundaryEntries == 0 {
+				t.Fatalf("%s/%d: no boundary entries", name, shards)
+			}
+			if res.ExchangedBytes >= res.NaiveBytes {
+				t.Fatalf("%s/%d: compacted exchange %d B >= naive %d B", name, shards, res.ExchangedBytes, res.NaiveBytes)
+			}
+			if res.SuppressedVertices == 0 {
+				t.Fatalf("%s/%d: zero-convergence suppression never fired", name, shards)
+			}
+			if len(res.PerRound) != res.Rounds {
+				t.Fatalf("%s/%d: %d per-round entries for %d rounds", name, shards, len(res.PerRound), res.Rounds)
+			}
+			var sumB, sumN int64
+			for _, r := range res.PerRound {
+				sumB += r.Bytes
+				sumN += r.NaiveBytes
+			}
+			if sumB != res.ExchangedBytes || sumN != res.NaiveBytes {
+				t.Fatalf("%s/%d: per-round stats do not sum to totals", name, shards)
+			}
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 	"thriftylp/cc"
 	"thriftylp/graph"
-	"thriftylp/internal/obs"
+	"thriftylp/graph/gen"
 )
 
 // RunConfig carries experiment-wide settings.
@@ -25,14 +25,6 @@ type RunConfig struct {
 	// instead of leaving a long benchmark unkillable. nil means
 	// context.Background().
 	Ctx context.Context
-	// Trace, when non-nil, receives per-iteration JSONL records from one
-	// extra instrumented run per regression cell. The traced run is separate
-	// from the timed repetitions so tracing never perturbs the reported
-	// fast-path numbers.
-	Trace *obs.TraceWriter
-	// Algos, when non-empty, restricts BenchRegression to these algorithms
-	// (ccbench -algo). Empty keeps the default regression set.
-	Algos []cc.Algorithm
 }
 
 func (c RunConfig) ctx() context.Context {
@@ -62,6 +54,27 @@ func (c RunConfig) opts(extra ...cc.Option) []cc.Option {
 		opts = append(opts, cc.WithThreads(c.Threads))
 	}
 	return append(opts, extra...)
+}
+
+// RegressionFixture is one deterministic graph of the kernel perf gate.
+type RegressionFixture struct {
+	Name  string
+	Build func() (*graph.Graph, error)
+}
+
+// RegressionFixtures returns the perf-gate fixtures: a pure RMAT social
+// analog (pull-heavy, few iterations) and a web-crawl analog (skewed core
+// plus pendant chains, the push-heavy many-iteration regime). Both are
+// seed-deterministic so numbers are comparable across runs and commits.
+func RegressionFixtures() []RegressionFixture {
+	return []RegressionFixture{
+		{"rmat-medium", func() (*graph.Graph, error) {
+			return gen.RMATCompact(gen.DefaultRMAT(17, 16, 42))
+		}},
+		{"weblike-medium", func() (*graph.Graph, error) {
+			return gen.Web(gen.DefaultWeb(16, 42))
+		}},
+	}
 }
 
 // TimeAlgorithm measures algorithm a on g: one warmup run, then reps timed

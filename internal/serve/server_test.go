@@ -273,8 +273,28 @@ func TestServerDeadline(t *testing.T) {
 // TestServerMetrics: per-endpoint request/latency counters accumulate.
 func TestServerMetrics(t *testing.T) {
 	s, ts := newTestServer(t, nil)
-	for i := 0; i < 3; i++ {
+	sn := s.Source().Acquire()
+	label := sn.ComponentOf(0)
+	miss := uint32(0)
+	for sn.SizeOf(miss) != 0 {
+		miss++
+	}
+	sn.Release()
+
+	// A known number of requests per endpoint, including one /size miss: a
+	// well-formed lookup of a non-label answers 404 but is served latency.
+	sent := map[string]int{"component": 3, "same": 2, "size": 2, "census": 1}
+	for i := 0; i < sent["component"]; i++ {
 		get(t, ts.URL+"/component?v=0")
+	}
+	for i := 0; i < sent["same"]; i++ {
+		get(t, ts.URL+"/same?u=0&v=1")
+	}
+	if st, _ := get(t, fmt.Sprintf("%s/size?c=%d", ts.URL, label)); st != http.StatusOK {
+		t.Fatalf("/size of label %d: status %d", label, st)
+	}
+	if st, _ := get(t, fmt.Sprintf("%s/size?c=%d", ts.URL, miss)); st != http.StatusNotFound {
+		t.Fatalf("/size of non-label %d: status %d, want 404", miss, st)
 	}
 	get(t, ts.URL+"/census")
 	if n := s.reg.Counter(RequestsMetric("component")); n != 3 {
@@ -289,16 +309,19 @@ func TestServerMetrics(t *testing.T) {
 	if n := s.reg.Counter(MetricReloads); n != 1 {
 		t.Errorf("%s = %d, want 1 (the initial load)", MetricReloads, n)
 	}
-	// The latency histogram behind the compat counter: every served request
-	// recorded, quantiles ordered, buckets exposed on /metrics with the
-	// versioned text content type.
+	// The latency histograms behind the compat counters: every served
+	// request recorded (the /size miss included), quantiles ordered,
+	// buckets exposed on /metrics with the versioned text content type.
+	for ep, n := range sent {
+		hs := s.reg.Histogram(LatencyHistogram(ep)).Snapshot()
+		if hs.Count != int64(n) {
+			t.Errorf("%s histogram count = %d, want %d", ep, hs.Count, n)
+		}
+		if p50, p99 := hs.Quantile(0.50), hs.Quantile(0.99); p50 <= 0 || p50 > p99 {
+			t.Errorf("%s histogram p50=%d p99=%d, want 0 < p50 <= p99", ep, p50, p99)
+		}
+	}
 	hs := s.reg.Histogram(LatencyHistogram("component")).Snapshot()
-	if hs.Count != 3 {
-		t.Errorf("component histogram count = %d, want 3", hs.Count)
-	}
-	if p50, p99 := hs.Quantile(0.50), hs.Quantile(0.99); p50 <= 0 || p50 > p99 {
-		t.Errorf("component histogram p50=%d p99=%d, want 0 < p50 <= p99", p50, p99)
-	}
 	if sum := hs.Sum; sum != s.reg.Counter(LatencyMetric("component")) {
 		t.Errorf("compat latency counter %d != histogram sum %d",
 			s.reg.Counter(LatencyMetric("component")), sum)

@@ -20,8 +20,8 @@ import (
 // each subsequent one to the previous vertex. Sorted ids make the deltas
 // small; hub-component labels are literally 0, so the common suppressing
 // message costs two bytes. NaivePairBytes is the flat encoding a
-// no-compaction exchange would use — the denominator the BENCH_shard gate
-// compares against.
+// no-compaction exchange would use — the denominator the compacted traffic
+// is measured against.
 
 // Pair is one decoded exchange message: global vertex V receives label L.
 type Pair struct {

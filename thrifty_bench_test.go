@@ -1,9 +1,8 @@
 // BenchmarkThrifty is the perf-regression gate for the Thrifty fast path:
 // uninstrumented runs (no counters, no trace, no line tracking) on the two
-// medium-scale skewed fixtures the paper's headline numbers target. The same
-// measurements are exported as machine-readable JSON by `make bench-json`
-// (cmd/ccbench -json), which records the perf trajectory across PRs in
-// BENCH_thrifty.json; both gates share harness.RegressionFixtures.
+// medium-scale skewed fixtures the paper's headline numbers target
+// (harness.RegressionFixtures). Compare commits with
+// `go test -run '^$' -bench 'BenchmarkThrifty$' -count 10`.
 package thriftylp_test
 
 import (
