@@ -248,3 +248,34 @@ func (b *Bitmap) CountRange(lo, hi int) int {
 	c += bits.OnesCount64(b.words[hiW] & hiMask)
 	return c
 }
+
+// Rank is a rank directory over a bitmap: one popcount prefix per word, so
+// the number of set bits below any index costs one table load and one
+// popcount. It reads the bitmap's words in place and answers for the bits
+// as they were when it was built; it is stale once the bitmap changes.
+type Rank struct {
+	words  []uint64
+	prefix []uint32 // prefix[w] = set bits in words[:w]; one extra entry for the total
+}
+
+// NewRank builds the rank directory of b in one pass over its words.
+func NewRank(b *Bitmap) Rank {
+	prefix := make([]uint32, len(b.words)+1)
+	for w, x := range b.words {
+		prefix[w+1] = prefix[w] + uint32(bits.OnesCount64(x))
+	}
+	return Rank{words: b.words, prefix: prefix}
+}
+
+// Below returns the number of set bits in [0, i), for 0 <= i <= Len(). For
+// a set bit i that is its index among the set bits in ascending order.
+//
+//thrifty:hotpath
+func (r Rank) Below(i int) int {
+	w := i / wordBits
+	c := int(r.prefix[w])
+	if rem := uint(i) % wordBits; rem != 0 {
+		c += bits.OnesCount64(r.words[w] & (1<<rem - 1))
+	}
+	return c
+}

@@ -268,3 +268,22 @@ func TestForEachRangeOutOfBoundsPanics(t *testing.T) {
 	}()
 	New(10).ForEachRange(0, 11, func(int) {})
 }
+
+// TestRankMatchesCount pins Rank.Below to CountRange(0, i) at every index,
+// including Len() itself, on sizes around word boundaries.
+func TestRankMatchesCount(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 128, 200} {
+		b := New(n)
+		for i := 0; i < n; i++ {
+			if i%3 == 0 || i%7 == 1 {
+				b.Set(i)
+			}
+		}
+		r := NewRank(b)
+		for i := 0; i <= n; i++ {
+			if got, want := r.Below(i), b.CountRange(0, i); got != want {
+				t.Fatalf("n=%d: Below(%d) = %d, want %d", n, i, got, want)
+			}
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -151,5 +153,56 @@ func TestQuickIterationCountsSane(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// normalizeReference is the map-based Normalize: the smallest vertex id per
+// raw label, found in a first pass and written in a second.
+func normalizeReference(labels []uint32) []uint32 {
+	minID := make(map[uint32]uint32)
+	for v, l := range labels {
+		if cur, ok := minID[l]; !ok || uint32(v) < cur {
+			minID[l] = uint32(v)
+		}
+	}
+	norm := make([]uint32, len(labels))
+	for v, l := range labels {
+		norm[v] = minID[l]
+	}
+	return norm
+}
+
+// TestNormalizeMatchesMapReference checks both Normalize paths against the
+// map reference: labels within [0, n] (the dense array, including label n
+// itself), and labelings that carry values >= n or ^uint32(0) (the map
+// fallback), plus empty input.
+func TestNormalizeMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	cases := [][]uint32{nil, {}, {0}, {1}, {^uint32(0)}, {2, 2, 0}, {3, 1, 3}}
+	for i := 0; i < 200; i++ {
+		n := rng.IntN(64) + 1
+		labels := make([]uint32, n)
+		for v := range labels {
+			switch i % 4 {
+			case 0: // dense, up to and including n
+				labels[v] = uint32(rng.IntN(n + 1))
+			case 1: // few distinct dense labels
+				labels[v] = uint32(rng.IntN(3))
+			case 2: // arbitrary values
+				labels[v] = rng.Uint32()
+			default: // dense with one out-of-range value mixed in
+				labels[v] = uint32(rng.IntN(n))
+				if v == n/2 {
+					labels[v] = []uint32{uint32(n + 1), ^uint32(0)}[i%8/4]
+				}
+			}
+		}
+		cases = append(cases, labels)
+	}
+	for _, labels := range cases {
+		got, want := Normalize(labels), normalizeReference(labels)
+		if len(got) != len(labels) || !slices.Equal(got, want) {
+			t.Fatalf("Normalize(%v) = %v, want %v", labels, got, want)
+		}
 	}
 }

@@ -41,16 +41,39 @@ func SeqCC(g *graph.Graph) []uint32 {
 // same partition iff their normalized forms are equal, regardless of the
 // algorithms' label value spaces (Thrifty's 0-based labels, union-find
 // roots, BFS component ids...).
+//
+// Vertices are visited in ascending order, so the first vertex seen with a
+// label is its smallest. When every label is at most len(labels) — true of
+// Thrifty, union-find and BFS labels — the first-seen ids live in an array
+// indexed by label; arbitrary values fall back to a map.
 func Normalize(labels []uint32) []uint32 {
-	minID := make(map[uint32]uint32, 64)
-	for v, l := range labels {
-		if cur, ok := minID[l]; !ok || uint32(v) < cur {
-			minID[l] = uint32(v)
+	norm := make([]uint32, len(labels))
+	dense := true
+	for _, l := range labels {
+		if int(l) > len(labels) {
+			dense = false
+			break
 		}
 	}
-	norm := make([]uint32, len(labels))
+	if dense {
+		// first[l] is 1 + the first vertex labelled l, 0 while none is.
+		first := make([]uint32, len(labels)+1)
+		for v, l := range labels {
+			if first[l] == 0 {
+				first[l] = uint32(v) + 1
+			}
+			norm[v] = first[l] - 1
+		}
+		return norm
+	}
+	first := make(map[uint32]uint32, 64)
 	for v, l := range labels {
-		norm[v] = minID[l]
+		id, ok := first[l]
+		if !ok {
+			id = uint32(v)
+			first[l] = id
+		}
+		norm[v] = id
 	}
 	return norm
 }

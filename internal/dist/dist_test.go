@@ -322,3 +322,31 @@ func TestChaosOnDiskSet(t *testing.T) {
 		t.Fatal("chaos on-disk run produced a wrong partition")
 	}
 }
+
+// BenchmarkRunSourceSet is one op of the repository benchmark's
+// shard-social workload, without its harness: a compacted RMAT-14 graph
+// written as a 2-shard on-disk set, then Open and RunSource per iteration —
+// both shards' mmap, interior solve and boundary build, and the exchange.
+func BenchmarkRunSourceSet(b *testing.B) {
+	g := mustGraph(gen.RMATCompact(gen.DefaultRMAT(14, 16, 42)))
+	dir := b.TempDir()
+	if _, err := shard.Write(g, dir, 2); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		set, err := shard.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := RunSource(set, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchResult = res
+	}
+}
+
+// benchResult keeps BenchmarkRunSourceSet's result live.
+var benchResult Result

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -66,7 +67,8 @@ func AppendPairs(buf []byte, base uint32, pairs []Pair) []byte {
 }
 
 // encodePairs writes the count header and delta-encoded pairs into dst,
-// which must have room for the worst case, and returns the bytes written.
+// which must have room for them (AppendPairs sizes it for the worst case,
+// Node.Emit exactly), and returns the bytes written.
 // This is the per-round exchange encode loop; it runs once per outgoing
 // batch per round, so it stays free of allocation and formatting.
 //
@@ -81,6 +83,9 @@ func encodePairs(dst []byte, base uint32, pairs []Pair) int {
 	}
 	return n
 }
+
+// uvarintLen is the number of bytes binary.PutUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // DecodePairs decodes a batch encoded by AppendPairs, invoking fn for every
 // pair in ascending vertex order. hi bounds the vertex ids (the destination

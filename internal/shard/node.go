@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"slices"
-
 	"thriftylp/graph"
 	"thriftylp/internal/bitmap"
 	"thriftylp/internal/core"
@@ -15,9 +13,9 @@ import (
 //  1. Solve (NewNode): the shard's interior subgraph — both endpoints inside
 //     [Lo, Hi) — is built and solved with the shared-memory Thrifty kernel,
 //     collapsing the shard to its interior components. Boundary edges are
-//     extracted into per-component, per-destination target lists, after
-//     which the shard's adjacency is never touched again and its mapping can
-//     be released.
+//     extracted into an index of the distinct remote targets and one entry
+//     list per component, after which the shard's adjacency is never
+//     touched again and its mapping can be released.
 //  2. Exchange (Apply/Emit rounds, driven by internal/dist): components
 //     exchange labels along boundary edges to global convergence. Each
 //     component starts labelled min-global-id+1 — except the component
@@ -43,17 +41,30 @@ type Node struct {
 	// label[r] is component r's current global label.
 	label []uint32
 	// suppressed[r] is set once component r has converged to label 0 and
-	// shipped its final 0-emission: it is dropped from every future exchange
-	// (its target lists dropped) — the cross-shard form of Zero Convergence.
+	// shipped its final 0-emission: it takes no further part in the exchange
+	// — the cross-shard form of Zero Convergence.
 	suppressed []bool
-	// out[r] lists component r's boundary targets per destination shard;
-	// dropped on suppression. Every list is a window of one dense array of
-	// BoundaryEntries targets (see buildBoundary).
-	out [][]destTargets
-	// knownZero marks remote vertices this node has shipped a 0 to: their
-	// labels are final, so any further entry targeting them is dead and is
-	// dropped (and counted) instead of emitted.
-	knownZero map[uint32]bool
+
+	// targets is the remote-target index: the node's distinct boundary
+	// targets in ascending global id order. Everything below addresses a
+	// target by its compact index into targets, and destination shard d's
+	// targets are the index range [destStart[d], destStart[d+1]).
+	targets   []uint32
+	destStart []int
+	// Component r's boundary entries are entries[compOff[r]:compOff[r+1]]:
+	// compact target indices, one per distinct target, in no particular
+	// order. len(entries) is BoundaryEntries (see buildBoundary).
+	compOff []int
+	entries []uint32
+	// knownZero marks targets this node has shipped a 0 to: their labels are
+	// final, so any further entry targeting them is dead and is dropped (and
+	// counted) instead of emitted.
+	knownZero *bitmap.Bitmap
+	// best[t] is the smallest label Emit has queued for target t this round,
+	// meaningful where touched is set; pairs is Emit's reused gather buffer.
+	best    []uint32
+	touched *bitmap.Bitmap
+	pairs   []Pair
 	// changed lists representatives whose label dropped since the last Emit;
 	// isChanged dedups it.
 	changed   []uint32
@@ -73,23 +84,16 @@ type Node struct {
 	Suppressed int64
 }
 
-// destTargets is one component's boundary targets inside one destination
-// shard, sorted ascending.
-type destTargets struct {
-	dest    int
-	targets []uint32
-}
-
 // NewNode builds shard id from slice s: solves the interior subgraph with
 // core.Thrifty under cfg (Pool/Stop/Faults are honoured; instrumentation
 // must not be set — nodes run concurrently with shared sinks otherwise) and
-// extracts the boundary lists. ranges must be the full set's ranges and hub
+// extracts the boundary index. ranges must be the full set's ranges and hub
 // the global max-degree vertex. canceled reports that cfg.Stop fired before
 // the interior solve converged; the node is then unusable.
 func NewNode(id int, s *graph.CSRSlice, ranges []parallel.Range, hub uint32, cfg core.Config) (n *Node, canceled bool, err error) {
 	lo, hi := s.Lo, s.Hi
 	local := s.NumLocal()
-	n = &Node{ID: id, Lo: lo, Hi: hi, ranges: ranges, knownZero: make(map[uint32]bool)}
+	n = &Node{ID: id, Lo: lo, Hi: hi, ranges: ranges}
 	if local == 0 {
 		return n, false, nil
 	}
@@ -151,121 +155,92 @@ func NewNode(id int, s *graph.CSRSlice, ranges []parallel.Range, hub uint32, cfg
 	return n, false, nil
 }
 
-// buildBoundary extracts the shard's cut edges into per-component,
-// per-destination sorted target lists, deduplicating parallel entries (two
+// buildBoundary extracts the shard's cut edges into the remote-target index
+// and per-component entry lists, deduplicating parallel entries (two
 // interior vertices of one component adjacent to the same remote vertex
 // produce one entry — they could only ever ship the same label).
 //
 // The cut is typically several times larger than what survives dedup, so
-// the build is linear in the cut and sorts only the survivors:
+// the build never copies it and sorts nothing:
 //
-//  1. a counting sort by representative scatters every cut slot's target
-//     into one buffer, component segments in representative order;
-//  2. each segment is deduplicated against a global-id bitmap — only the
-//     bits just set are cleared again, so the bitmap is never swept — and
-//     its survivors, compacted to the buffer's front, are sorted;
-//  3. the survivors are copied into one dense array of BoundaryEntries
-//     targets and cut at owner-range boundaries: sorted ids make each
-//     destination contiguous, so OwnerOf runs once per list, not per slot.
+//  1. a counting sort groups the local vertices by representative;
+//  2. each component's rows are walked in place, and every cut target is
+//     deduplicated against a global-id bitmap — only the bits just set are
+//     cleared again, so the bitmap is never swept — leaving the survivors,
+//     component after component, in one array of BoundaryEntries ids;
+//  3. the survivors' bits, set once more, are the distinct targets: read in
+//     order they are the index, and one popcount prefix per bitmap word
+//     ranks every survivor (and every shard's Lo) into a compact index.
 func (n *Node) buildBoundary(s *graph.CSRSlice, ranges []parallel.Range) {
 	local := s.NumLocal()
-	// Counts land at end[r+1]; the running sum then leaves end[r] at the
-	// first slot of r's segment, and the scatter advances it to the last+1.
-	end := make([]int, local+1)
+	// Counts land at off[r+2]; the running sum then leaves off[r+1] at the
+	// first vertex of r's group, and the scatter advances it to the last+1.
+	off := make([]int, local+2)
+	for v := 0; v < local; v++ {
+		off[n.rep[v]+2]++
+	}
+	for r := 2; r < len(off); r++ {
+		off[r] += off[r-1]
+	}
+	order := make([]uint32, local)
 	for v := 0; v < local; v++ {
 		r := n.rep[v]
-		for _, u := range s.Adj[s.Offsets[v]:s.Offsets[v+1]] {
-			if u < n.Lo || u >= n.Hi {
-				end[r+1]++
-			}
-		}
-	}
-	for r := 0; r < local; r++ {
-		end[r+1] += end[r]
-	}
-	cut := make([]uint32, end[local])
-	for v := 0; v < local; v++ {
-		r := n.rep[v]
-		for _, u := range s.Adj[s.Offsets[v]:s.Offsets[v+1]] {
-			if u < n.Lo || u >= n.Hi {
-				cut[end[r]] = u
-				end[r]++
-			}
-		}
+		order[off[r+1]] = uint32(v)
+		off[r+1]++
 	}
 
-	// Segment r is cut[end[r-1]:end[r]]. Survivors compact to cut[:w];
-	// end[r] is rewritten to the compacted segment's end.
+	// Component r's vertices are order[vlo:off[r+1]]; once its survivors are
+	// appended, off[r+1] is rewritten to their end, turning off into the
+	// entry offsets. u-lo >= span is u outside [lo, hi): below lo, the
+	// difference wraps.
+	lo, span := n.Lo, n.Hi-n.Lo
 	seen := bitmap.New(s.GlobalVertices)
-	lo, w := 0, 0
+	surv := make([]uint32, 0, local)
+	vlo := 0
 	for r := 0; r < local; r++ {
-		hi, start := end[r], w
-		for _, u := range cut[lo:hi] {
-			if !seen.Get(int(u)) {
-				seen.Set(int(u))
-				cut[w] = u
-				w++
+		start := len(surv)
+		for _, v := range order[vlo:off[r+1]] {
+			for _, u := range s.Adj[s.Offsets[v]:s.Offsets[v+1]] {
+				if u-lo >= span && !seen.Get(int(u)) {
+					seen.Set(int(u))
+					surv = append(surv, u)
+				}
 			}
 		}
-		kept := cut[start:w]
-		for _, u := range kept {
+		for _, u := range surv[start:] {
 			seen.Clear(int(u))
 		}
-		slices.Sort(kept)
-		end[r], lo = w, hi
+		vlo = off[r+1]
+		off[r+1] = len(surv)
 	}
+	n.compOff = off[: local+1 : local+1]
+	n.BoundaryEntries = int64(len(surv))
 
-	// The resident copy holds the survivors only; every destTargets, from
-	// one pre-counted backing array, windows into it.
-	targets := slices.Clone(cut[:w])
-	n.BoundaryEntries = int64(w)
-	lists := 0
-	lo = 0
-	for r := 0; r < local; r++ {
-		lists += splitByOwner(ranges, targets[lo:end[r]], nil)
-		lo = end[r]
+	for _, u := range surv {
+		seen.Set(int(u))
 	}
-	pool := make([]destTargets, 0, lists)
-	n.out = make([][]destTargets, local)
-	lo = 0
-	for r := 0; r < local; r++ {
-		if lo == end[r] {
-			continue
-		}
-		first := len(pool)
-		splitByOwner(ranges, targets[lo:end[r]], func(dest int, run []uint32) {
-			pool = append(pool, destTargets{dest: dest, targets: run})
-		})
-		n.out[r] = pool[first:len(pool):len(pool)]
-		lo = end[r]
+	n.targets = seen.AppendTo(make([]uint32, 0, seen.Count()))
+	rank := bitmap.NewRank(seen)
+	n.entries = make([]uint32, len(surv))
+	for i, u := range surv {
+		n.entries[i] = uint32(rank.Below(int(u)))
 	}
-}
-
-// splitByOwner cuts sorted global ids into maximal runs owned by one shard,
-// calling fn (when non-nil) with each run and its owner, and returns the
-// run count.
-func splitByOwner(ranges []parallel.Range, sorted []uint32, fn func(dest int, run []uint32)) int {
-	runs := 0
-	for i := 0; i < len(sorted); runs++ {
-		d := OwnerOf(ranges, sorted[i])
-		j := i + 1
-		for j < len(sorted) && sorted[j] < ranges[d].Hi {
-			j++
-		}
-		if fn != nil {
-			fn(d, sorted[i:j:j])
-		}
-		i = j
+	n.destStart = make([]int, len(ranges)+1)
+	for d, rg := range ranges {
+		n.destStart[d] = rank.Below(int(rg.Lo))
 	}
-	return runs
+	n.destStart[len(ranges)] = len(n.targets)
+	n.knownZero = bitmap.New(len(n.targets))
+	n.touched = bitmap.New(len(n.targets))
+	n.best = make([]uint32, len(n.targets))
 }
 
 // Bootstrap marks every component with boundary targets as changed, so the
 // first Emit ships the initial labels — the cross-shard analogue of
 // Thrifty's Initial Push (the planted 0 leaves the hub's shard in round 0).
 func (n *Node) Bootstrap() {
-	for r, dts := range n.out {
-		if len(dts) > 0 {
+	for r := 0; r+1 < len(n.compOff); r++ {
+		if n.compOff[r+1] > n.compOff[r] {
 			n.markChanged(uint32(r))
 		}
 	}
@@ -301,54 +276,75 @@ func (n *Node) markChanged(r uint32) {
 
 // Emit encodes the round's outgoing batches, one per destination shard
 // (nil for destinations with nothing to say), and returns them with the
-// number of pairs shipped. Compaction, in the order applied:
+// number of pairs shipped, counted before MIN-dedup. Compaction, in the
+// order applied:
 //
 //   - delta-only emission: only components whose label changed since the
 //     last Emit appear at all;
 //   - zero-convergence suppression: a component that changed to 0 ships that
-//     final 0 once, marks each target as known-zero, and drops its lists;
-//     entries from any component targeting a known-zero vertex are dropped
-//     (the target's label is already the global minimum) and counted in
-//     Suppressed;
-//   - MIN-dedup and varint delta-encoding inside AppendPairs.
+//     final 0 once, marks each target as known-zero, and leaves the
+//     exchange; entries from any component targeting a known-zero vertex are
+//     dropped (the target's label is already the global minimum) and counted
+//     in Suppressed;
+//   - MIN-dedup: each target keeps the smallest label queued for it, in
+//     best, and is marked in touched;
+//   - varint delta-encoding: each destination's touched targets, walked in
+//     index order, are already sorted and distinct, and go straight to the
+//     encoder.
 func (n *Node) Emit(numShards int) (batches [][]byte, pairs int64) {
 	if len(n.changed) == 0 {
 		return nil, 0
 	}
-	perDest := make([][]Pair, numShards)
 	for _, r := range n.changed {
 		n.isChanged[r] = false
 		if n.suppressed[r] {
 			continue
 		}
 		lab := n.label[r]
-		for _, dt := range n.out[r] {
-			for _, t := range dt.targets {
-				if n.knownZero[t] {
-					n.Suppressed++
-					continue
-				}
-				perDest[dt.dest] = append(perDest[dt.dest], Pair{V: t, L: lab})
-				if lab == 0 {
-					n.knownZero[t] = true
-				}
+		for _, t := range n.entries[n.compOff[r]:n.compOff[r+1]] {
+			if n.knownZero.Get(int(t)) {
+				n.Suppressed++
+				continue
+			}
+			if !n.touched.Get(int(t)) || lab < n.best[t] {
+				n.touched.Set(int(t))
+				n.best[t] = lab
+			}
+			pairs++
+			if lab == 0 {
+				n.knownZero.Set(int(t))
 			}
 		}
 		if lab == 0 {
 			n.suppressed[r] = true
-			n.out[r] = nil
 		}
 	}
 	n.changed = n.changed[:0]
+	if pairs == 0 {
+		return nil, 0
+	}
 
+	// Every touched target yields one pair: size the gather buffer once.
+	if need := n.touched.Count(); cap(n.pairs) < need {
+		n.pairs = make([]Pair, 0, need)
+	}
 	batches = make([][]byte, numShards)
-	for d, ps := range perDest {
+	for d := range batches {
+		base := n.ranges[d].Lo
+		ps, size, prev := n.pairs[:0], 0, base
+		n.touched.ForEachRange(n.destStart[d], n.destStart[d+1], func(t int) {
+			v, l := n.targets[t], n.best[t]
+			ps = append(ps, Pair{V: v, L: l})
+			size += uvarintLen(uint64(v-prev)) + uvarintLen(uint64(l))
+			prev = v
+		})
 		if len(ps) == 0 {
 			continue
 		}
-		batches[d] = AppendPairs(nil, n.ranges[d].Lo, ps)
-		pairs += int64(len(ps))
+		batches[d] = make([]byte, uvarintLen(uint64(len(ps)))+size)
+		encodePairs(batches[d], base, ps)
 	}
+	n.touched.Reset()
 	return batches, pairs
 }
 

@@ -12,6 +12,37 @@ import (
 	"thriftylp/internal/parallel"
 )
 
+// destTargets is one component's boundary targets inside one destination
+// shard, sorted ascending: the shape the oracle builds.
+type destTargets struct {
+	dest    int
+	targets []uint32
+}
+
+// boundaryView maps the node's compact entry lists back to the oracle's
+// per-component, per-destination shape: each component's indices, sorted,
+// are cut at the destStart boundaries and mapped through the target index
+// to global ids. Emit relies on exactly that index order and those cuts.
+func boundaryView(n *Node) [][]destTargets {
+	out := make([][]destTargets, len(n.rep))
+	for r := 0; r+1 < len(n.compOff); r++ {
+		idx := slices.Clone(n.entries[n.compOff[r]:n.compOff[r+1]])
+		slices.Sort(idx)
+		d := 0
+		for i := 0; i < len(idx); {
+			for int(idx[i]) >= n.destStart[d+1] {
+				d++
+			}
+			var ids []uint32
+			for ; i < len(idx) && int(idx[i]) < n.destStart[d+1]; i++ {
+				ids = append(ids, n.targets[idx[i]])
+			}
+			out[r] = append(out[r], destTargets{dest: d, targets: ids})
+		}
+	}
+	return out
+}
+
 // oracleBoundary is the original boundary build, kept as the reference the
 // linear build is pinned to: every cut slot becomes a (rep, dest, target)
 // triple, the triples are sorted, and each (rep, dest) run is deduplicated.
@@ -71,13 +102,22 @@ func checkAgainstOracle(t *testing.T, s *graph.CSRSlice, ranges []parallel.Range
 	if n.BoundaryEntries != entries {
 		t.Fatalf("[%d,%d): BoundaryEntries %d, oracle %d", s.Lo, s.Hi, n.BoundaryEntries, entries)
 	}
-	if len(n.out) != len(want) {
-		t.Fatalf("[%d,%d): %d component slots, oracle %d", s.Lo, s.Hi, len(n.out), len(want))
+	got := boundaryView(n)
+	if len(got) != len(want) {
+		t.Fatalf("[%d,%d): %d component slots, oracle %d", s.Lo, s.Hi, len(got), len(want))
 	}
+	var distinct []uint32
 	for r := range want {
-		if err := sameDestTargets(n.out[r], want[r]); err != nil {
+		if err := sameDestTargets(got[r], want[r]); err != nil {
 			t.Fatalf("[%d,%d) component %d: %v", s.Lo, s.Hi, r, err)
 		}
+		for _, dt := range want[r] {
+			distinct = append(distinct, dt.targets...)
+		}
+	}
+	slices.Sort(distinct)
+	if distinct = slices.Compact(distinct); !slices.Equal(n.targets, distinct) {
+		t.Fatalf("[%d,%d): target index %v, oracle's distinct targets %v", s.Lo, s.Hi, n.targets, distinct)
 	}
 	return n
 }
@@ -154,7 +194,7 @@ func TestBoundaryMatchesOracleEdgeCases(t *testing.T) {
 		if i != 0 {
 			continue
 		}
-		if got := len(n.out[n.rep[0]]); got != 3 {
+		if got := len(boundaryView(n)[n.rep[0]]); got != 3 {
 			t.Fatalf("component of vertex 0 spans %d destinations, want 3", got)
 		}
 		if n.BoundaryEntries != 6 {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -72,6 +73,22 @@ func TestCodecGoldenBytes(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("encoded % x, want % x", got, want)
+	}
+}
+
+// TestUvarintLenMatchesPutUvarint pins the size Emit allocates each batch
+// at to what encodePairs writes, at every varint length boundary.
+func TestUvarintLenMatchesPutUvarint(t *testing.T) {
+	var buf [binary.MaxVarintLen64]byte
+	for shift := 0; shift < 64; shift++ {
+		for _, x := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			if got, want := uvarintLen(x), binary.PutUvarint(buf[:], x); got != want {
+				t.Fatalf("uvarintLen(%d) = %d, PutUvarint writes %d", x, got, want)
+			}
+		}
+	}
+	if got := uvarintLen(^uint64(0)); got != binary.MaxVarintLen64 {
+		t.Fatalf("uvarintLen(max) = %d, want %d", got, binary.MaxVarintLen64)
 	}
 }
 
