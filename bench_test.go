@@ -18,9 +18,9 @@ import (
 	"thriftylp/cc"
 	"thriftylp/graph"
 	"thriftylp/graph/gen"
+	"thriftylp/internal/core"
 	"thriftylp/internal/dist"
 	"thriftylp/internal/harness"
-	"thriftylp/internal/spmv"
 	"thriftylp/internal/stats"
 )
 
@@ -416,19 +416,22 @@ func BenchmarkDistributed(b *testing.B) {
 	}
 }
 
-// BenchmarkAsyncEngine regenerates the sync-vs-async SpMV extension
-// (ccbench -exp async), reporting iteration counts as metrics.
+// BenchmarkAsyncEngine times the hop-distance program of the sync-vs-async
+// extension (ccbench -exp async), reporting iteration counts as metrics.
+// Its CC half is DOLP vs DOLPUnified, which BenchmarkFastPathBaselines
+// already times.
 func BenchmarkAsyncEngine(b *testing.B) {
 	g := benchGraph(b, "web-webbase")
-	for _, async := range []bool{false, true} {
-		name := "sync"
-		if async {
-			name = "async"
-		}
-		b.Run(name, func(b *testing.B) {
+	root := g.MaxDegreeVertex()
+	cfg := core.Config{Threshold: core.DefaultThriftyThreshold}
+	for _, k := range []struct {
+		name string
+		run  func(*graph.Graph, uint32, core.Config) core.Result
+	}{{"sync", core.HopDistance}, {"async", core.HopDistanceUnified}} {
+		b.Run(k.name, func(b *testing.B) {
 			var iters int
 			for i := 0; i < b.N; i++ {
-				iters = spmv.CC(g, async).Iterations
+				iters = k.run(g, root, cfg).Iterations
 			}
 			b.ReportMetric(float64(iters), "iterations")
 		})

@@ -1,11 +1,12 @@
 // Asynchronous propagation: the paper's §VII closes by asking about "the
 // connection between the unified arrays optimization and asynchronous
-// execution". This example makes that connection concrete on the generic
-// min-propagation engine (internal/spmv): the same two programs — connected
-// components and BFS hop distance — run under a synchronous two-array
-// schedule and an asynchronous unified-array schedule, and the iteration
-// counts show how much of Thrifty's Unified Labels win is really
-// "asynchrony smuggled into a bulk-synchronous loop".
+// execution". This example makes that connection concrete on the DO-LP
+// loop of internal/core: the same two programs — connected components
+// (DOLP vs DOLPUnified) and BFS hop distance (HopDistance vs
+// HopDistanceUnified) — run under a synchronous two-array schedule and an
+// asynchronous unified-array schedule, and the iteration counts show how
+// much of Thrifty's Unified Labels win is really "asynchrony smuggled into
+// a bulk-synchronous loop".
 //
 //	go run ./examples/asyncpropagation
 package main
@@ -16,7 +17,7 @@ import (
 
 	"thriftylp/graph"
 	"thriftylp/graph/gen"
-	"thriftylp/internal/spmv"
+	"thriftylp/internal/core"
 )
 
 func main() {
@@ -42,12 +43,15 @@ func main() {
 
 	fmt.Printf("%-15s  %-22s  %-22s\n", "", "CC iterations", "BFS iterations")
 	fmt.Printf("%-15s  %-10s %-10s  %-10s %-10s\n", "dataset", "sync", "async", "sync", "async")
+	// Thrifty's 1% threshold keeps sparse frontiers on pull sweeps, which
+	// are where the unified array lets values chain hops.
+	cfg := core.Config{Threshold: core.DefaultThriftyThreshold}
 	for _, tc := range graphs {
-		ccS := spmv.CC(tc.g, false)
-		ccA := spmv.CC(tc.g, true)
+		ccS := core.DOLP(tc.g, cfg)
+		ccA := core.DOLPUnified(tc.g, cfg)
 		root := tc.g.MaxDegreeVertex()
-		bfS := spmv.HopDistance(tc.g, root, false)
-		bfA := spmv.HopDistance(tc.g, root, true)
+		bfS := core.HopDistance(tc.g, root, cfg)
+		bfA := core.HopDistanceUnified(tc.g, root, cfg)
 		fmt.Printf("%-15s  %-10d %-10d  %-10d %-10d\n",
 			tc.name, ccS.Iterations, ccA.Iterations, bfS.Iterations, bfA.Iterations)
 	}

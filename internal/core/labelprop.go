@@ -13,7 +13,11 @@ import (
 
 // This file holds the label-propagation baselines: DO-LP (Algorithm 1), its
 // Unified Labels ablation, and textbook LP. DO-LP and DO-LP+Unified share
-// one run loop, and all three share one push and one pull sweep.
+// one run loop, and all three share one push and one pull sweep. The same
+// loop and sweeps also run a second program, BFS hop distance from a root
+// (HopDistance, HopDistanceUnified): the paper's §VII question of how the
+// Unified Labels Array relates to asynchronous execution, asked of an
+// SpMV-style algorithm other than connected components.
 
 // labelAccess selects at compile time how the sweeps read and write labels.
 // Each instantiation of a sweep is compiled separately (the two types have
@@ -56,6 +60,32 @@ func storeLabel[A labelAccess](labels []uint32, v, l uint32) {
 		return
 	}
 	labels[v] = l
+}
+
+// program selects at compile time what a label means and how it crosses an
+// edge, the same way labelAccess selects how it is stored:
+//
+//   - minLabel: connected components. Labels start as vertex ids and cross
+//     an edge unchanged, so each vertex converges to its component's
+//     minimum id.
+//   - hopCount: BFS hop distance. Values start Unreached except at the
+//     root, which holds 0, and grow by one hop per edge crossed.
+type program interface{ minLabel | hopCount }
+
+type minLabel struct{}
+type hopCount struct{ _ byte }
+
+// Unreached is the hop distance of a vertex the root cannot reach.
+const Unreached = ^uint32(0)
+
+// across returns the value label x offers a neighbour: x itself for
+// minLabel, one hop more for hopCount, where Unreached stays Unreached.
+func across[P program](x uint32) uint32 {
+	var p P
+	if unsafe.Sizeof(p) != 0 && x != Unreached {
+		return x + 1
+	}
+	return x
 }
 
 // frontierState tracks the active-vertex bitmap and the vertex/edge counts
@@ -124,7 +154,7 @@ func (f *frontierState) extract(pool *parallel.Pool) []uint32 {
 // end-of-iteration labels-array synchronization pass. This is the paper's
 // primary baseline (its column in Table IV, Fig 5-8, and the reference
 // against which Thrifty's 25.2× average speedup is quoted).
-func DOLP(g *graph.Graph, cfg Config) Result { return dolp[splitLabels](g, cfg) }
+func DOLP(g *graph.Graph, cfg Config) Result { return dolp[splitLabels, minLabel](g, cfg, 0) }
 
 // DOLPUnified is Direction-Optimizing Label Propagation with exactly one of
 // Thrifty's four optimizations applied: the Unified Labels Array (§IV-A).
@@ -137,9 +167,27 @@ func DOLP(g *graph.Graph, cfg Config) Result { return dolp[splitLabels](g, cfg) 
 // and DOLPUnified measures the Unified Labels contribution (~65% of
 // Thrifty's total improvement in the paper), and the gap between
 // DOLPUnified and Thrifty measures the other three techniques combined.
-func DOLPUnified(g *graph.Graph, cfg Config) Result { return dolp[sharedLabels](g, cfg) }
+func DOLPUnified(g *graph.Graph, cfg Config) Result { return dolp[sharedLabels, minLabel](g, cfg, 0) }
 
-func dolp[A labelAccess](g *graph.Graph, cfg Config) Result {
+// HopDistance computes BFS hop distances from root with DO-LP's two arrays:
+// Result.Labels[v] is the number of edges on a shortest path from root to
+// v, or Unreached. A distance moves one hop per iteration, so the run takes
+// about as many iterations as root's eccentricity. root must be a vertex of
+// g unless g is empty.
+func HopDistance(g *graph.Graph, root uint32, cfg Config) Result {
+	return dolp[splitLabels, hopCount](g, cfg, root)
+}
+
+// HopDistanceUnified is HopDistance on one labels array, as DOLPUnified is
+// DOLP on one: a distance lowered early in a sweep is read by vertices
+// processed later in it, so it can travel many hops per iteration. The gap
+// to HopDistance is the asynchronous-execution effect of §VII.
+func HopDistanceUnified(g *graph.Graph, root uint32, cfg Config) Result {
+	return dolp[sharedLabels, hopCount](g, cfg, root)
+}
+
+// dolp runs program P on the DO-LP loop; root is used by hopCount only.
+func dolp[A labelAccess, P program](g *graph.Graph, cfg Config, root uint32) Result {
 	n := g.NumVertices()
 	read := cfg.Arena.Uint32s(n)
 	write := read
@@ -148,24 +196,34 @@ func dolp[A labelAccess](g *graph.Graph, cfg Config) Result {
 	}
 	switch {
 	case cfg.Faults != nil:
-		return dolpRun[A](g, cfg, read, write, newChaos(cfg))
+		return dolpRun[A, P](g, cfg, root, read, write, newChaos(cfg))
 	case !cfg.fastInstr():
-		return dolpRun[A](g, cfg, read, write, newCounting(cfg))
+		return dolpRun[A, P](g, cfg, root, read, write, newCounting(cfg))
 	default:
-		return dolpRun[A](g, cfg, read, write, noInstr{})
+		return dolpRun[A, P](g, cfg, root, read, write, noInstr{})
 	}
 }
 
 // dolpRun is the run loop of Algorithm 1. Sweeps read labels from read and
-// write them to write; for DOLPUnified the two are the same slice.
-func dolpRun[A labelAccess, I instr[I]](g *graph.Graph, cfg Config, read, write []uint32, proto I) Result {
+// write them to write; for the one-array variants the two are the same
+// slice.
+func dolpRun[A labelAccess, P program, I instr[I]](g *graph.Graph, cfg Config, root uint32, read, write []uint32, proto I) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
 	threshold := cfg.threshold(DefaultDOLPThreshold)
 
-	// Initial label assignment (lines 2-4): every label is the vertex id,
-	// and every vertex starts active.
-	parallel.Fill(pool, read, func(i int) uint32 { return uint32(i) })
+	// Initial label assignment (lines 2-4): every label is the vertex id
+	// (hopCount: Unreached, and 0 at the root), and every vertex starts
+	// active, so iteration 0 is a full pull.
+	var p P
+	if unsafe.Sizeof(p) == 0 {
+		parallel.Fill(pool, read, func(i int) uint32 { return uint32(i) })
+	} else {
+		parallel.Fill(pool, read, func(int) uint32 { return Unreached })
+		if n > 0 {
+			read[root] = 0
+		}
+	}
 	if !shared[A]() {
 		parallel.Copy(pool, write, read)
 	}
@@ -193,13 +251,13 @@ func dolpRun[A labelAccess, I instr[I]](g *graph.Graph, cfg Config, read, write 
 			// Push traversal (lines 9-12).
 			rec.Kind = counters.KindPush
 			res.PushIterations++
-			rec.Changed = pushSweep[A](g, pool, read, write, oldFr.extract(pool), newFr.bm, cfg.Stop, proto)
+			rec.Changed = pushSweep[A, P](g, pool, read, write, oldFr.extract(pool), newFr.bm, cfg.Stop, proto)
 		} else {
 			// Pull traversal (lines 13-20): all vertices, ignoring frontier
 			// membership of neighbours.
 			rec.Kind = counters.KindPull
 			res.PullIterations++
-			rec.Changed = pullSweep[A](g, sch, read, write, newFr.bm, cfg.Stop, proto)
+			rec.Changed = pullSweep[A, P](g, sch, read, write, newFr.bm, cfg.Stop, proto)
 		}
 
 		if !shared[A]() {
@@ -278,7 +336,7 @@ func lpRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 		// active every iteration, density is by definition 1 and there is
 		// no threshold to compare against.
 		rec := counters.IterRecord{Index: res.Iterations, Kind: counters.KindPull, Active: int64(n), ActiveEdges: totalE, Density: 1}
-		rec.Changed = pullSweep[splitLabels](g, sch, oldLbs, newLbs, nil, cfg.Stop, proto)
+		rec.Changed = pullSweep[splitLabels, minLabel](g, sch, oldLbs, newLbs, nil, cfg.Stop, proto)
 		res.Iterations++
 		rec.Edges = cfg.Ctr.Total(counters.EdgesProcessed) - ebefore
 		rec.Duration = time.Since(start)
@@ -314,12 +372,12 @@ func traceIter(cfg Config, pool *parallel.Pool, rec counters.IterRecord, labels 
 }
 
 // pushSweep runs one push iteration over the sparse frontier active: each
-// active vertex propagates its label from read to its neighbours' labels in
-// write with atomic-min, marking lowered neighbours in fr. Returns the
-// number of newly activated vertices.
+// active vertex propagates its label from read, carried across the edge by
+// P, to its neighbours' labels in write with atomic-min, marking lowered
+// neighbours in fr. Returns the number of newly activated vertices.
 //
 //thrifty:hotpath
-func pushSweep[A labelAccess, I instr[I]](g *graph.Graph, pool *parallel.Pool, read, write, active []uint32, fr *bitmap.Bitmap, stop *Stop, proto I) int64 {
+func pushSweep[A labelAccess, P program, I instr[I]](g *graph.Graph, pool *parallel.Pool, read, write, active []uint32, fr *bitmap.Bitmap, stop *Stop, proto I) int64 {
 	offs, adj := g.Offsets(), g.Adjacency()
 	var changed int64
 	parallel.For(pool, len(active), 512, func(tid, lo, hi int) {
@@ -330,7 +388,7 @@ func pushSweep[A labelAccess, I instr[I]](g *graph.Graph, pool *parallel.Pool, r
 		var local int64
 		for _, v := range active[lo:hi] {
 			iVisit(ins)
-			lv := loadLabel[A](read, v)
+			lv := across[P](loadLabel[A](read, v))
 			iLoad(ins)
 			for _, u := range adj[offs[v]:offs[v+1]] {
 				iEdge(ins)
@@ -353,14 +411,14 @@ func pushSweep[A labelAccess, I instr[I]](g *graph.Graph, pool *parallel.Pool, r
 }
 
 // pullSweep runs one pull iteration: every vertex takes the minimum of its
-// own and its neighbours' labels in read into its label in write, marking
-// changed vertices in fr when fr is non-nil. Returns the number of changed
-// vertices. Under sharedLabels a neighbour read may observe a label written
-// earlier in this same iteration, which is what accelerates wavefront
-// propagation.
+// own label and its neighbours' labels in read, carried across the edge by
+// P, into its label in write, marking changed vertices in fr when fr is
+// non-nil. Returns the number of changed vertices. Under sharedLabels a
+// neighbour read may observe a label written earlier in this same
+// iteration, which is what accelerates wavefront propagation.
 //
 //thrifty:hotpath
-func pullSweep[A labelAccess, I instr[I]](g *graph.Graph, sch *scheduler, read, write []uint32, fr *bitmap.Bitmap, stop *Stop, proto I) int64 {
+func pullSweep[A labelAccess, P program, I instr[I]](g *graph.Graph, sch *scheduler, read, write []uint32, fr *bitmap.Bitmap, stop *Stop, proto I) int64 {
 	offs, adj := g.Offsets(), g.Adjacency()
 	var changed int64
 	sch.sweep(func(tid, lo, hi int) {
@@ -380,7 +438,7 @@ func pullSweep[A labelAccess, I instr[I]](g *graph.Graph, sch *scheduler, read, 
 				iLoad(ins)
 				iBranch(ins)
 				iTouch(ins, u)
-				if l := loadLabel[A](read, u); l < newLabel {
+				if l := across[P](loadLabel[A](read, u)); l < newLabel {
 					newLabel = l
 				}
 			}

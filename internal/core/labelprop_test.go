@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
+	"testing/quick"
 
+	"thriftylp/graph"
 	"thriftylp/graph/gen"
 	"thriftylp/internal/bitmap"
 	"thriftylp/internal/counters"
@@ -205,6 +208,168 @@ func TestTraceZeroCountsLabelZero(t *testing.T) {
 		}
 		if got := tr.Iters[len(tr.Iters)-1].Zero; got != want {
 			t.Errorf("%s: last record Zero = %d, want %d (size of vertex 0's component)", algo, got, want)
+		}
+	}
+}
+
+// propagationFixtures are the graphs the hop-distance program and the
+// two-array vs one-array comparison run on: skewed, long-diameter, disjoint
+// and degenerate shapes.
+func propagationFixtures(t *testing.T) map[string]*graph.Graph {
+	t.Helper()
+	// loophub: the max-degree vertex's only edge is a self-loop, so a root
+	// there reaches nothing; every vertex must still be compared with its
+	// neighbours once, which iteration 0's full pull does.
+	loopHub, err := graph.BuildUndirected(
+		[]graph.Edge{{U: 0, V: 0}, {U: 1, V: 2}}, graph.WithNumVertices(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*graph.Graph{
+		"rmat":    mustGraph(gen.RMAT(gen.DefaultRMAT(11, 8, 4))),
+		"path":    mustGraph(gen.Path(700)),
+		"star":    mustGraph(gen.Star(500)),
+		"cliques": mustGraph(gen.Components(4, 7)),
+		"web":     mustGraph(gen.Web(gen.WebConfig{CoreScale: 8, CoreEdgeFactor: 6, NumChains: 6, ChainLength: 48, Seed: 2})),
+		"grid":    mustGraph(gen.Grid(gen.GridConfig{Rows: 30, Cols: 30})),
+		"loophub": loopHub,
+	}
+}
+
+// bfsOracle computes hop distances from root sequentially.
+func bfsOracle(g *graph.Graph, root uint32) []uint32 {
+	dist := make([]uint32, g.NumVertices())
+	if len(dist) == 0 {
+		return dist
+	}
+	for i := range dist {
+		dist[i] = Unreached
+	}
+	dist[root] = 0
+	queue := []uint32{root}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for _, u := range g.Neighbors(v) {
+			if dist[u] == Unreached {
+				dist[u] = dist[v] + 1
+				queue = append(queue, u)
+			}
+		}
+	}
+	return dist
+}
+
+var hopKernels = []struct {
+	name string
+	run  func(*graph.Graph, uint32, Config) Result
+}{{"two-array", HopDistance}, {"one-array", HopDistanceUnified}}
+
+// TestHopDistanceAgreesWithBFS: with either labels array, the hop-distance
+// program's fixed point is the BFS distance from the hub and from the last
+// vertex.
+func TestHopDistanceAgreesWithBFS(t *testing.T) {
+	for name, g := range propagationFixtures(t) {
+		for _, root := range []uint32{g.MaxDegreeVertex(), uint32(g.NumVertices() - 1)} {
+			want := bfsOracle(g, root)
+			for _, k := range hopKernels {
+				got := k.run(g, root, Config{}).Labels
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s root %d %s: distances differ from BFS", name, root, k.name)
+				}
+			}
+		}
+	}
+}
+
+// TestHopDistanceFromPathEnd: rooted at one end of a path, every distance is
+// the number of vertices between, and the root is the only vertex at 0.
+func TestHopDistanceFromPathEnd(t *testing.T) {
+	g := mustGraph(gen.Path(10))
+	for _, k := range hopKernels {
+		got := k.run(g, 9, Config{}).Labels
+		for v := range 10 {
+			if got[v] != uint32(9-v) {
+				t.Fatalf("%s: dist[%d] = %d, want %d", k.name, v, got[v], 9-v)
+			}
+		}
+	}
+}
+
+// TestPropagationEmptyGraph: every DO-LP program returns no labels and runs
+// no iteration on a graph without vertices.
+func TestPropagationEmptyGraph(t *testing.T) {
+	g := mustGraph(gen.Empty(0))
+	runs := map[string]func() Result{
+		"dolp":         func() Result { return DOLP(g, Config{}) },
+		"dolp-unified": func() Result { return DOLPUnified(g, Config{}) },
+	}
+	for _, k := range hopKernels {
+		runs["hop-"+k.name] = func() Result { return k.run(g, 0, Config{}) }
+	}
+	for name, run := range runs {
+		if res := run(); len(res.Labels) != 0 || res.Iterations != 0 {
+			t.Errorf("%s: %d labels, %d iterations on the empty graph", name, len(res.Labels), res.Iterations)
+		}
+	}
+}
+
+// TestQuickHopDistanceAgreesWithBFS runs both hop-distance kernels on random
+// 96-vertex multigraphs with self-loops, rooted at the hub.
+func TestQuickHopDistanceAgreesWithBFS(t *testing.T) {
+	f := func(raw []byte) bool {
+		var edges []graph.Edge
+		for i := 0; i+1 < len(raw); i += 2 {
+			edges = append(edges, graph.Edge{U: uint32(raw[i] % 96), V: uint32(raw[i+1] % 96)})
+		}
+		g, err := graph.BuildUndirected(edges, graph.WithNumVertices(96))
+		if err != nil {
+			return false
+		}
+		root := g.MaxDegreeVertex()
+		want := bfsOracle(g, root)
+		for _, k := range hopKernels {
+			if !slices.Equal(k.run(g, root, Config{}).Labels, want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUnifiedNeverMoreIterations is the §VII correspondence made checkable:
+// one labels array lets values travel several hops per sweep, so it never
+// needs more iterations than two arrays, for either program and at either
+// threshold. It holds at any thread count: every value in the one array is
+// at most its two-array counterpart after each iteration.
+func TestUnifiedNeverMoreIterations(t *testing.T) {
+	for name, g := range propagationFixtures(t) {
+		root := g.MaxDegreeVertex()
+		for _, th := range []float64{DefaultDOLPThreshold, DefaultThriftyThreshold} {
+			cfg := Config{Threshold: th}
+			if two, one := DOLP(g, cfg).Iterations, DOLPUnified(g, cfg).Iterations; one > two {
+				t.Errorf("%s threshold %v: DOLPUnified took %d iterations, DOLP %d", name, th, one, two)
+			}
+			if two, one := HopDistance(g, root, cfg).Iterations, HopDistanceUnified(g, root, cfg).Iterations; one > two {
+				t.Errorf("%s threshold %v: HopDistanceUnified took %d iterations, HopDistance %d", name, th, one, two)
+			}
+		}
+	}
+}
+
+// TestDOLPMatchesOracleBothArrays: with two labels arrays or one, the CC
+// program reaches the oracle's partition at either threshold.
+func TestDOLPMatchesOracleBothArrays(t *testing.T) {
+	for name, g := range propagationFixtures(t) {
+		oracle := SeqCC(g)
+		for _, th := range []float64{DefaultDOLPThreshold, DefaultThriftyThreshold} {
+			cfg := Config{Threshold: th}
+			if !Equivalent(DOLP(g, cfg).Labels, oracle) || !Equivalent(DOLPUnified(g, cfg).Labels, oracle) {
+				t.Errorf("%s threshold %v: DO-LP partition differs from the oracle", name, th)
+			}
 		}
 	}
 }

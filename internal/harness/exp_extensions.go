@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"thriftylp/cc"
+	"thriftylp/internal/core"
 	"thriftylp/internal/dist"
-	"thriftylp/internal/spmv"
 )
 
 // The experiments in this file go beyond the paper's evaluation section:
@@ -126,28 +126,31 @@ func ExpConnectIt(cfg RunConfig) (*Table, error) {
 }
 
 // ExpAsync measures the §VII correspondence between the Unified Labels
-// Array and asynchronous execution on the generic SpMV engine
-// (internal/spmv): iterations of the synchronous (two-array) vs
-// asynchronous (unified-array) engine for CC and for BFS hop distance.
+// Array and asynchronous execution: iterations of the DO-LP loop with two
+// labels arrays (synchronous) vs one (asynchronous), for connected
+// components (DOLP vs DOLPUnified) and for BFS hop distance (HopDistance vs
+// HopDistanceUnified). All four run at Thrifty's 1% threshold, so sparse
+// frontiers still pull: a push cannot chain hops within a sweep.
 func ExpAsync(cfg RunConfig) (*Table, error) {
 	t := &Table{
 		ID:      "async",
-		Title:   "Sync vs async min-propagation on the generic SpMV engine (iterations; extension)",
+		Title:   "Sync vs async min-propagation on the DO-LP sweeps (iterations; extension)",
 		Columns: []string{"Dataset", "CC sync", "CC async", "BFS sync", "BFS async"},
 		Notes: []string{
 			"Async (unified array) lets values travel multiple hops per sweep; the iteration gap is the paper's unified-arrays ⇔ asynchronous-execution link (§VII).",
 		},
 	}
+	kc := core.Config{Threshold: core.DefaultThriftyThreshold}
 	for _, d := range Suite(cfg.scale()) {
 		g, err := BuildCached(cfg.scale(), d)
 		if err != nil {
 			return nil, err
 		}
-		ccSync := spmv.CC(g, false)
-		ccAsync := spmv.CC(g, true)
+		ccSync := core.DOLP(g, kc)
+		ccAsync := core.DOLPUnified(g, kc)
 		root := g.MaxDegreeVertex()
-		bfsSync := spmv.HopDistance(g, root, false)
-		bfsAsync := spmv.HopDistance(g, root, true)
+		bfsSync := core.HopDistance(g, root, kc)
+		bfsAsync := core.HopDistanceUnified(g, root, kc)
 		t.AddRow(d.Name, ccSync.Iterations, ccAsync.Iterations, bfsSync.Iterations, bfsAsync.Iterations)
 	}
 	return t, nil

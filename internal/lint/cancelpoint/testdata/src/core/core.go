@@ -35,6 +35,20 @@ func iterate(cfg *Config, res *Result) {
 	}
 }
 
+// GoodViaGenericHelper reaches the poll through a helper instantiated with
+// two explicit type arguments, like dolpRun[A, P] in the real package.
+func GoodViaGenericHelper(cfg *Config) Result {
+	var res Result
+	helper[int, string](cfg, &res)
+	return res
+}
+
+func helper[K any, V any](cfg *Config, res *Result) {
+	for !cfg.cancelPoint(res) {
+		res.Iterations++
+	}
+}
+
 // GoodByValue takes Config by value; the poll still counts.
 func GoodByValue(cfg Config) Result {
 	var res Result

@@ -73,6 +73,13 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 				return f
 			}
 		}
+	case *ast.IndexListExpr:
+		// Two or more explicit type arguments: F[T1, T2](...).
+		if id, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
+			if f, ok := info.Uses[id].(*types.Func); ok {
+				return f
+			}
+		}
 	}
 	return nil
 }

@@ -1,12 +1,10 @@
 package shard
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 )
 
 // Boundary-exchange wire format. A message from one shard to another is a
@@ -34,41 +32,10 @@ type Pair struct {
 // every boundary entry whether or not anything changed.
 const NaivePairBytes = 8
 
-// AppendPairs encodes pairs into buf and returns the extended buffer. Pairs
-// are sorted in place by vertex and deduplicated keeping the minimum label
-// per vertex (the MIN combiner: only the smallest incoming label can matter).
-// base must be the destination shard's Lo and every pair's V at least base.
-func AppendPairs(buf []byte, base uint32, pairs []Pair) []byte {
-	slices.SortFunc(pairs, func(a, b Pair) int {
-		if c := cmp.Compare(a.V, b.V); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.L, b.L)
-	})
-	// Dedup in place: first occurrence per vertex carries the min label.
-	w := 0
-	for i, p := range pairs {
-		if i > 0 && p.V == pairs[w-1].V {
-			continue
-		}
-		pairs[w] = p
-		w++
-	}
-	pairs = pairs[:w]
-
-	// Grow once to the worst case (count header plus two maximal varints per
-	// pair) so the encode loop below never reallocates or bounds-checks its
-	// way through repeated appends.
-	need := binary.MaxVarintLen64 + 2*binary.MaxVarintLen32*len(pairs)
-	start := len(buf)
-	buf = append(buf, make([]byte, need)...)
-	n := encodePairs(buf[start:], base, pairs)
-	return buf[:start+n]
-}
-
-// encodePairs writes the count header and delta-encoded pairs into dst,
-// which must have room for them (AppendPairs sizes it for the worst case,
-// Node.Emit exactly), and returns the bytes written.
+// encodePairs writes the count header and delta-encoded pairs into dst and
+// returns the bytes written. pairs must be sorted by vertex with distinct
+// vertices, each at least base, the destination shard's Lo; dst must have
+// room for them (Node.Emit sizes it exactly with uvarintLen).
 // This is the per-round exchange encode loop; it runs once per outgoing
 // batch per round, so it stays free of allocation and formatting.
 //
@@ -87,7 +54,7 @@ func encodePairs(dst []byte, base uint32, pairs []Pair) int {
 // uvarintLen is the number of bytes binary.PutUvarint writes for x.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// DecodePairs decodes a batch encoded by AppendPairs, invoking fn for every
+// DecodePairs decodes a batch encoded by encodePairs, invoking fn for every
 // pair in ascending vertex order. hi bounds the vertex ids (the destination
 // shard's Hi); a batch decoding outside [base, hi) or truncating mid-pair is
 // reported as an error rather than applied. The decode loop is the hot half

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"thriftylp/graph"
@@ -19,56 +20,52 @@ func mustGraph(g *graph.Graph, err error) *graph.Graph {
 	return g
 }
 
+// encode sizes a batch exactly with uvarintLen, as Node.Emit does, and
+// encodes it with encodePairs, which must fill the buffer.
+func encode(t *testing.T, base uint32, pairs []Pair) []byte {
+	t.Helper()
+	size, prev := uvarintLen(uint64(len(pairs))), base
+	for _, p := range pairs {
+		size += uvarintLen(uint64(p.V-prev)) + uvarintLen(uint64(p.L))
+		prev = p.V
+	}
+	buf := make([]byte, size)
+	if n := encodePairs(buf, base, pairs); n != size {
+		t.Fatalf("encodePairs wrote %d bytes, uvarintLen sized %d", n, size)
+	}
+	return buf
+}
+
 func TestCodecRoundTrip(t *testing.T) {
 	cases := [][]Pair{
 		nil,
 		{{V: 100, L: 0}},
 		{{V: 100, L: 7}, {V: 101, L: 0}, {V: 5000, L: 1 << 30}},
-		{{V: 4242, L: 3}, {V: 100, L: 9}, {V: 100, L: 4}, {V: 9999, L: 0}}, // unsorted + dup vertex
+		{{V: 100, L: 4}, {V: 4242, L: 3}, {V: 9999, L: 0}, {V: 9999 + 1<<21, L: ^uint32(0)}},
 	}
 	for i, pairs := range cases {
-		in := append([]Pair(nil), pairs...)
-		buf := AppendPairs(nil, 100, in)
 		var got []Pair
-		if err := DecodePairs(buf, 100, 10_000, func(v, l uint32) {
+		if err := DecodePairs(encode(t, 100, pairs), 100, 1<<22, func(v, l uint32) {
 			got = append(got, Pair{V: v, L: l})
 		}); err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		// Expected: sorted by vertex, min label per vertex.
-		min := map[uint32]uint32{}
-		for _, p := range pairs {
-			if cur, ok := min[p.V]; !ok || p.L < cur {
-				min[p.V] = p.L
-			}
-		}
-		if len(got) != len(min) {
-			t.Fatalf("case %d: %d decoded pairs, want %d", i, len(got), len(min))
-		}
-		prev := int64(-1)
-		for _, p := range got {
-			if int64(p.V) <= prev {
-				t.Fatalf("case %d: vertices not strictly ascending", i)
-			}
-			prev = int64(p.V)
-			if min[p.V] != p.L {
-				t.Fatalf("case %d: vertex %d decoded label %d, want %d", i, p.V, p.L, min[p.V])
-			}
+		if !slices.Equal(got, pairs) {
+			t.Fatalf("case %d: decoded %v, want %v", i, got, pairs)
 		}
 	}
 }
 
-// TestCodecGoldenBytes fixes the wire encoding of an unsorted batch with
-// duplicate vertices: pairs sorted by vertex, the minimum label kept per
-// vertex, uvarint deltas from base, appended after the caller's bytes.
+// TestCodecGoldenBytes fixes the wire encoding: a count header, then per
+// pair the uvarint vertex delta from the previous vertex (the first from
+// base) and the uvarint label.
 func TestCodecGoldenBytes(t *testing.T) {
-	pairs := []Pair{{V: 4242, L: 3}, {V: 100, L: 9}, {V: 9999, L: 0}, {V: 100, L: 4}, {V: 4242, L: 1}}
-	got := AppendPairs([]byte{0xEE}, 100, pairs)
+	pairs := []Pair{{V: 100, L: 4}, {V: 4242, L: 1}, {V: 9999, L: 0}}
+	got := encode(t, 100, pairs)
 	want := []byte{
-		0xEE,       // caller's prefix
-		0x03,       // three distinct vertices
-		0x00, 0x04, // 100: delta 0 from base, min label 4
-		0xAE, 0x20, 0x01, // 4242: delta 4142, min label 1
+		0x03,       // three vertices
+		0x00, 0x04, // 100: delta 0 from base, label 4
+		0xAE, 0x20, 0x01, // 4242: delta 4142, label 1
 		0xFD, 0x2C, 0x00, // 9999: delta 5757, label 0
 	}
 	if !bytes.Equal(got, want) {
@@ -96,14 +93,14 @@ func TestCodecZeroLabelIsTwoBytes(t *testing.T) {
 	// The suppressing message — one vertex at a small delta with label 0 —
 	// must cost two bytes past the count: that is the wire-level version of
 	// "converged vertices are cheap to announce, then free forever".
-	buf := AppendPairs(nil, 100, []Pair{{V: 101, L: 0}})
+	buf := encode(t, 100, []Pair{{V: 101, L: 0}})
 	if len(buf) != 3 { // count=1 (1B) + delta=1 (1B) + label=0 (1B)
 		t.Fatalf("zero-label pair encoded to %d bytes, want 3", len(buf))
 	}
 }
 
 func TestCodecRejectsCorrupt(t *testing.T) {
-	buf := AppendPairs(nil, 0, []Pair{{V: 5, L: 9}, {V: 80, L: 1}})
+	buf := encode(t, 0, []Pair{{V: 5, L: 9}, {V: 80, L: 1}})
 	nop := func(uint32, uint32) {}
 	if err := DecodePairs(buf[:len(buf)-1], 0, 100, nop); err == nil {
 		t.Fatal("truncated batch accepted")
