@@ -12,8 +12,8 @@ import (
 )
 
 // AlgoShard is sharded out-of-core Thrifty: the graph is split into
-// vertex-range CSR shards, each shard's interior is solved with the
-// shared-memory Thrifty kernel while only that shard's adjacency is
+// vertex-range CSR shards, each shard is collapsed to its interior
+// components with one union-find pass while only that shard's adjacency is
 // resident, and the shards then reconcile through rounds of compacted
 // boundary-label exchange (internal/dist). On an in-memory graph the shards
 // are views — no copy — so AlgoShard is also a way to measure the exchange
@@ -44,8 +44,8 @@ type ShardStats struct {
 	// Shards is the shard count the run actually used (after clamping).
 	Shards int
 	// Rounds is the number of boundary-exchange rounds to global
-	// convergence; LocalIterations sums the interior Thrifty iterations
-	// across shards.
+	// convergence; LocalIterations counts collapse passes, one per
+	// non-empty shard.
 	Rounds, LocalIterations int
 	// BoundaryEntries is the total size of the per-shard boundary lists
 	// (component, destination, target) the exchange operates on.
@@ -137,7 +137,6 @@ func runShard(g *graph.Graph, o *options) (core.Result, error) {
 		Pool:      o.cfg.Pool,
 		Stop:      o.cfg.Stop,
 		MaxRounds: o.cfg.MaxIterations,
-		Faults:    o.cfg.Faults,
 	})
 	if err != nil {
 		return core.Result{}, err

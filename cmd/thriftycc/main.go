@@ -351,7 +351,7 @@ func runShardDir(ctx context.Context, dir string, reps, threads int, verify bool
 	}
 
 	census := stats.Census(res.Labels)
-	fmt.Printf("%-14s %10.3f ms   %d components, %d rounds, %d local iterations\n",
+	fmt.Printf("%-14s %10.3f ms   %d components, %d rounds, %d shard collapses\n",
 		"shard(disk)", float64(best.Nanoseconds())/1e6,
 		census.NumComponents, res.Rounds, res.LocalIterations)
 	printShardStats(&cc.ShardStats{

@@ -2,12 +2,12 @@
 // (internal/shard.Node) — goroutine "nodes" today, a process boundary later
 // — through the out-of-core connected-components pipeline:
 //
-//  1. Solve phase, sequential over shards: load one CSR slice, solve its
-//     interior with the shared-memory Thrifty kernel at full parallelism,
-//     extract the boundary lists, release the slice. At most one shard's
-//     adjacency is resident at a time — this is what lets the pipeline run
-//     graphs whose adjacency exceeds RAM, with the per-vertex label state
-//     (a few bytes per vertex) as the only global footprint.
+//  1. Collapse phase, sequential over shards: load one CSR slice, collapse
+//     it to its interior components with one union-find pass, extract the
+//     boundary lists, release the slice. At most one shard's adjacency is
+//     resident at a time — this is what lets the pipeline run graphs whose
+//     adjacency exceeds RAM, with the per-vertex label state (a few bytes
+//     per vertex) as the only global footprint.
 //  2. Exchange phase, parallel over nodes: rounds of compacted boundary
 //     label exchange (delta-only emission, zero-convergence suppression,
 //     varint delta encoding — see shard.Node.Emit) until no component's
@@ -34,19 +34,17 @@ type Config struct {
 	// Shards is the shard count when partitioning an in-memory graph
 	// (default 4); ignored by RunSource, where the source fixes it.
 	Shards int
-	// Pool supplies worker threads; nil selects parallel.Default(). The
-	// solve phase hands the whole pool to one shard at a time; the exchange
-	// phase spreads nodes across it.
+	// Pool supplies the exchange phase's worker threads, across which it
+	// spreads the nodes; nil selects parallel.Default(). The collapse phase
+	// is sequential.
 	Pool *parallel.Pool
-	// Stop, when non-nil, is polled between shard solves and at round
-	// boundaries; once requested the run returns early with Canceled set.
+	// Stop, when non-nil, is polled before each shard's collapse and at
+	// round boundaries; once requested the run returns early with Canceled
+	// set.
 	Stop *core.Stop
 	// MaxRounds caps the exchange loop as a safety net; 0 means 2·|V|+16,
 	// which no correct run can reach (labels strictly decrease).
 	MaxRounds int
-	// Faults, when non-nil, is forwarded to the interior Thrifty solves —
-	// the kernel-level chaos policy.
-	Faults *core.FaultPlan
 	// ExchangeFault, when non-nil, is invoked by every node at the start of
 	// each exchange round — the exchange-level chaos hook. It may block,
 	// deschedule, or panic; panics surface to the caller as
@@ -78,7 +76,8 @@ type Result struct {
 	// Rounds is the number of exchange rounds executed (the bootstrap
 	// emission is round 1).
 	Rounds int
-	// LocalIterations sums the interior Thrifty solves' iteration counts.
+	// LocalIterations counts collapse passes: one per non-empty shard, as
+	// each shard's interior is collapsed in a single union-find pass.
 	LocalIterations int
 	// BoundaryEntries is the total deduplicated (component, target) entry
 	// count across shards — the static cut size.
@@ -127,9 +126,8 @@ func RunSource(src shard.Source, cfg Config) (Result, error) {
 	if pool == nil {
 		pool = parallel.Default()
 	}
-	solveCfg := core.Config{Pool: pool, Stop: cfg.Stop, Faults: cfg.Faults}
 
-	// Solve phase: one shard resident at a time.
+	// Collapse phase: one shard resident at a time.
 	nodes := make([]*shard.Node, k)
 	for i := 0; i < k; i++ {
 		if cfg.Stop.Requested() {
@@ -140,19 +138,14 @@ func RunSource(src shard.Source, cfg Config) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		node, canceled, err := shard.NewNode(i, sl, ranges, hub, solveCfg)
-		if rerr := src.Release(sl); err == nil {
-			err = rerr
-		}
-		if err != nil {
+		node := shard.NewNode(i, sl, ranges, hub)
+		if err := src.Release(sl); err != nil {
 			return res, err
 		}
-		if canceled {
-			res.Canceled = true
-			return res, nil
-		}
 		nodes[i] = node
-		res.LocalIterations += node.LocalIterations
+		if node.Hi > node.Lo {
+			res.LocalIterations++
+		}
 		res.BoundaryEntries += node.BoundaryEntries
 		node.Bootstrap()
 	}

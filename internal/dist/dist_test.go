@@ -226,9 +226,8 @@ func TestQuickShardedAgreesWithOracle(t *testing.T) {
 }
 
 // TestChaosExchange runs the sharded solve with scheduling perturbations
-// injected into every exchange round (and the kernel-level fault plan in
-// the interior solves), under -race in CI: correctness must survive
-// arbitrary interleavings of the double-buffered exchange.
+// injected into every exchange round, under -race in CI: correctness must
+// survive arbitrary interleavings of the double-buffered exchange.
 func TestChaosExchange(t *testing.T) {
 	g := mustGraph(gen.RMAT(gen.DefaultRMAT(10, 8, 9)))
 	want := core.Thrifty(g, core.Config{})
@@ -236,7 +235,6 @@ func TestChaosExchange(t *testing.T) {
 	for _, shards := range []int{2, 4, 8} {
 		res, err := Run(g, Config{
 			Shards: shards,
-			Faults: &core.FaultPlan{GoschedEvery: 64, DelayEvery: 4096, Delay: 50 * time.Microsecond},
 			ExchangeFault: func(round, node int) {
 				n := ticks.Add(1)
 				if n%2 == 0 {
@@ -299,7 +297,7 @@ func TestChaosExchangePanic(t *testing.T) {
 }
 
 // TestChaosOnDiskSet drives the out-of-core path under fault injection:
-// fresh mmap per shard, perturbed solves, perturbed exchange.
+// fresh mmap per shard, then a perturbed exchange.
 func TestChaosOnDiskSet(t *testing.T) {
 	g := mustGraph(gen.RMATCompact(gen.DefaultRMAT(10, 8, 5)))
 	dir := t.TempDir()
@@ -312,7 +310,6 @@ func TestChaosOnDiskSet(t *testing.T) {
 	}
 	want := core.Thrifty(g, core.Config{})
 	res, err := RunSource(set, Config{
-		Faults:        &core.FaultPlan{GoschedEvery: 32},
 		ExchangeFault: func(round, node int) { runtime.Gosched() },
 	})
 	if err != nil {
@@ -326,7 +323,8 @@ func TestChaosOnDiskSet(t *testing.T) {
 // BenchmarkRunSourceSet is one op of the repository benchmark's
 // shard-social workload, without its harness: a compacted RMAT-14 graph
 // written as a 2-shard on-disk set, then Open and RunSource per iteration —
-// both shards' mmap, interior solve and boundary build, and the exchange.
+// both shards' mmap, union-find collapse and boundary build, and the
+// exchange.
 func BenchmarkRunSourceSet(b *testing.B) {
 	g := mustGraph(gen.RMATCompact(gen.DefaultRMAT(14, 16, 42)))
 	dir := b.TempDir()

@@ -20,14 +20,13 @@ var updateTraffic = flag.Bool("update-traffic", false, "rewrite testdata/traffic
 const trafficGolden = "testdata/traffic.golden"
 
 // exchangeTraffic renders dist.Run's full cost model on every selector
-// fixture at 1, 2, 3, 4 and 8 shards: the totals, one line per round, and
-// an FNV-1a hash of the labels. The pool has one thread because the
-// interior Thrifty solves' iteration counts are only deterministic there;
-// the exchange itself is deterministic at any thread count (each node's
-// emission depends on its inbox alone, and the round barrier fixes every
-// inbox).
-func exchangeTraffic(t *testing.T) []byte {
-	pool := parallel.NewPool(1)
+// fixture at 1, 2, 3, 4 and 8 shards, on a pool of the given size: the
+// totals, one line per round, and an FNV-1a hash of the labels. The whole
+// rendering is deterministic at any thread count: each shard's collapse is
+// sequential, each node's emission depends on its inbox alone, and the
+// round barrier fixes every inbox.
+func exchangeTraffic(t *testing.T, threads int) []byte {
+	pool := parallel.NewPool(threads)
 	defer pool.Close()
 	var b bytes.Buffer
 	b.WriteString("# fixture shards rounds bytes naive pairs suppressed entries local-iters labels-fnv64a\n")
@@ -56,11 +55,15 @@ func exchangeTraffic(t *testing.T) []byte {
 
 // TestExchangeTrafficMatchesGolden pins the sharded exchange byte for byte:
 // rounds, traffic, pairs, suppression counts and labels must not move when
-// the node's boundary state or emission is restructured. Regenerate with
+// the node's boundary state or emission is restructured, and a 4-thread
+// pool must render exactly what a 1-thread pool does. Regenerate with
 // `go test ./internal/dist -run TestExchangeTrafficMatchesGolden
 // -update-traffic` only for a deliberate change of exchange behaviour.
 func TestExchangeTrafficMatchesGolden(t *testing.T) {
-	got := exchangeTraffic(t)
+	got := exchangeTraffic(t, 1)
+	if par := exchangeTraffic(t, 4); !bytes.Equal(got, par) {
+		t.Fatal("traffic rendered on a 4-thread pool differs from the 1-thread rendering")
+	}
 	if *updateTraffic {
 		if err := os.MkdirAll(filepath.Dir(trafficGolden), 0o755); err != nil {
 			t.Fatal(err)

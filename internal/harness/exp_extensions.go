@@ -66,7 +66,7 @@ func ExpDistributed(cfg RunConfig) (*Table, error) {
 		Title:   "Sharded out-of-core CC: compacted boundary exchange vs naive (extension experiment)",
 		Columns: []string{"Dataset", "Shards", "Rounds", "Boundary", "Exchanged B", "Naive B", "Suppressed"},
 		Notes: []string{
-			"Per-shard interior Thrifty solves, then compacted boundary-label exchange (delta-only emission, zero-convergence suppression, varint deltas); Naive is the same boundary at 8 flat bytes per entry every round.",
+			"Per-shard union-find collapse of the interior, then compacted boundary-label exchange (delta-only emission, zero-convergence suppression, varint deltas); Naive is the same boundary at 8 flat bytes per entry every round.",
 		},
 	}
 	for _, name := range []string{"social-twitter", "web-uk"} {

@@ -3,19 +3,18 @@ package shard
 import (
 	"thriftylp/graph"
 	"thriftylp/internal/bitmap"
-	"thriftylp/internal/core"
 	"thriftylp/internal/parallel"
 )
 
 // Node is the per-shard state machine of the out-of-core solver. Its life
 // has two phases:
 //
-//  1. Solve (NewNode): the shard's interior subgraph — both endpoints inside
-//     [Lo, Hi) — is built and solved with the shared-memory Thrifty kernel,
-//     collapsing the shard to its interior components. Boundary edges are
-//     extracted into an index of the distinct remote targets and one entry
-//     list per component, after which the shard's adjacency is never
-//     touched again and its mapping can be released.
+//  1. Collapse (NewNode): one union-find pass over the shard's rows links
+//     every interior edge — both endpoints inside [Lo, Hi) — collapsing the
+//     shard to its interior components. Boundary edges are extracted into
+//     an index of the distinct remote targets and one entry list per
+//     component, after which the shard's adjacency is never touched again
+//     and its mapping can be released.
 //  2. Exchange (Apply/Emit rounds, driven by internal/dist): components
 //     exchange labels along boundary edges to global convergence. Each
 //     component starts labelled min-global-id+1 — except the component
@@ -73,8 +72,6 @@ type Node struct {
 	// vertex deltas against the destination's Lo.
 	ranges []parallel.Range
 
-	// LocalIterations is the interior Thrifty solve's iteration count.
-	LocalIterations int
 	// BoundaryEntries is the node's total (component, target) entry count
 	// after construction-time dedup — its share of the naive exchange.
 	BoundaryEntries int64
@@ -84,58 +81,18 @@ type Node struct {
 	Suppressed int64
 }
 
-// NewNode builds shard id from slice s: solves the interior subgraph with
-// core.Thrifty under cfg (Pool/Stop/Faults are honoured; instrumentation
-// must not be set — nodes run concurrently with shared sinks otherwise) and
-// extracts the boundary index. ranges must be the full set's ranges and hub
-// the global max-degree vertex. canceled reports that cfg.Stop fired before
-// the interior solve converged; the node is then unusable.
-func NewNode(id int, s *graph.CSRSlice, ranges []parallel.Range, hub uint32, cfg core.Config) (n *Node, canceled bool, err error) {
+// NewNode builds shard id from slice s: collapses the shard to its interior
+// components with one union-find pass over its rows, seeds the component
+// labels and extracts the boundary index. ranges must be the full set's
+// ranges and hub the global max-degree vertex.
+func NewNode(id int, s *graph.CSRSlice, ranges []parallel.Range, hub uint32) *Node {
 	lo, hi := s.Lo, s.Hi
 	local := s.NumLocal()
-	n = &Node{ID: id, Lo: lo, Hi: hi, ranges: ranges}
+	n := &Node{ID: id, Lo: lo, Hi: hi, ranges: ranges}
 	if local == 0 {
-		return n, false, nil
+		return n
 	}
-
-	// Interior subgraph: both endpoints in [lo, hi), ids rebased to local.
-	// Symmetric by construction — the global CSR is symmetric and the filter
-	// keeps an edge iff it keeps its mirror.
-	offsets := make([]int64, local+1)
-	for v := 0; v < local; v++ {
-		row := s.Adj[s.Offsets[v]:s.Offsets[v+1]]
-		deg := int64(0)
-		for _, u := range row {
-			if u >= lo && u < hi {
-				deg++
-			}
-		}
-		offsets[v+1] = offsets[v] + deg
-	}
-	if err := graph.CheckOffsets64(offsets, offsets[local]); err != nil {
-		return nil, false, err
-	}
-	adj := make([]uint32, offsets[local])
-	w := 0
-	for v := 0; v < local; v++ {
-		row := s.Adj[s.Offsets[v]:s.Offsets[v+1]]
-		for _, u := range row {
-			if u >= lo && u < hi {
-				adj[w] = u - lo
-				w++
-			}
-		}
-	}
-	ig, err := graph.FromCSR(offsets, adj)
-	if err != nil {
-		return nil, false, err
-	}
-	res := core.Thrifty(ig, cfg)
-	if res.Canceled {
-		return nil, true, nil
-	}
-	n.LocalIterations = res.Iterations
-	n.rep = core.Normalize(res.Labels)
+	n.rep = collapse(s)
 
 	// Seed the component labels: min global id + 1, hub's component 0.
 	n.label = make([]uint32, local)
@@ -152,7 +109,45 @@ func NewNode(id int, s *graph.CSRSlice, ranges []parallel.Range, hub uint32, cfg
 	}
 
 	n.buildBoundary(s, ranges)
-	return n, false, nil
+	return n
+}
+
+// collapse returns each local vertex's interior component representative:
+// the smallest local id in its component. It is a sequential union-find over
+// the slice's rows. Cut slots are skipped, and each interior edge is linked
+// once, from its smaller endpoint's side of the symmetric CSR, so mirrors
+// and self-loops cost one comparison. Linking always hooks the larger root
+// under the smaller one, and path halving only ever moves a vertex to a
+// smaller ancestor, so every parent lies below its child: one ascending
+// pass then flattens each vertex to its component's minimum.
+func collapse(s *graph.CSRSlice) []uint32 {
+	comp := make([]uint32, s.NumLocal())
+	for v := range comp {
+		comp[v] = uint32(v)
+	}
+	lo, span := s.Lo, s.Hi-s.Lo
+	for v := range comp {
+		for _, u := range s.Adj[s.Offsets[v]:s.Offsets[v+1]] {
+			// u-lo >= span is u outside [lo, hi): below lo, the difference wraps.
+			if w := u - lo; w < span && w > uint32(v) {
+				a, b := find(comp, uint32(v)), find(comp, w)
+				comp[max(a, b)] = min(a, b)
+			}
+		}
+	}
+	for v := range comp {
+		comp[v] = comp[comp[v]]
+	}
+	return comp
+}
+
+// find returns x's root, halving the path on the way.
+func find(comp []uint32, x uint32) uint32 {
+	for comp[x] != x {
+		comp[x] = comp[comp[x]]
+		x = comp[x]
+	}
+	return x
 }
 
 // buildBoundary extracts the shard's cut edges into the remote-target index

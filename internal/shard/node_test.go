@@ -90,13 +90,46 @@ func oracleBoundary(s *graph.CSRSlice, rep []uint32, ranges []parallel.Range) (o
 	return out, entries
 }
 
-// checkAgainstOracle builds the node for slice s and requires its boundary
-// lists and entry count to equal the oracle's exactly.
+// checkRep requires n.rep to equal core.SeqCC on the interior subgraph of
+// s — both endpoints inside [Lo, Hi), ids rebased to local — rebuilt here
+// from the slice: SeqCC labels each vertex with its component's smallest
+// id, which is exactly the representative the collapse promises.
+func checkRep(s *graph.CSRSlice, n *Node) error {
+	local := s.NumLocal()
+	offsets := make([]int64, local+1)
+	var adj []uint32
+	for v := 0; v < local; v++ {
+		for _, u := range s.Adj[s.Offsets[v]:s.Offsets[v+1]] {
+			if u >= s.Lo && u < s.Hi {
+				adj = append(adj, u-s.Lo)
+			}
+		}
+		offsets[v+1] = int64(len(adj))
+	}
+	ig, err := graph.FromCSR(offsets, adj)
+	if err != nil {
+		return fmt.Errorf("[%d,%d): interior subgraph: %v", s.Lo, s.Hi, err)
+	}
+	want := core.SeqCC(ig)
+	if len(n.rep) != len(want) {
+		return fmt.Errorf("[%d,%d): %d representatives, want %d", s.Lo, s.Hi, len(n.rep), len(want))
+	}
+	for v := range want {
+		if n.rep[v] != want[v] {
+			return fmt.Errorf("[%d,%d): rep[%d] = %d, SeqCC says %d", s.Lo, s.Hi, v, n.rep[v], want[v])
+		}
+	}
+	return nil
+}
+
+// checkAgainstOracle builds the node for slice s and requires its
+// representatives to equal the SeqCC oracle's and its boundary lists and
+// entry count to equal the triple-sort oracle's exactly.
 func checkAgainstOracle(t *testing.T, s *graph.CSRSlice, ranges []parallel.Range, hub uint32) *Node {
 	t.Helper()
-	n, canceled, err := NewNode(0, s, ranges, hub, core.Config{})
-	if err != nil || canceled {
-		t.Fatalf("[%d,%d): NewNode: canceled=%v err=%v", s.Lo, s.Hi, canceled, err)
+	n := NewNode(0, s, ranges, hub)
+	if err := checkRep(s, n); err != nil {
+		t.Fatal(err)
 	}
 	want, entries := oracleBoundary(s, n.rep, ranges)
 	if n.BoundaryEntries != entries {
@@ -203,6 +236,41 @@ func TestBoundaryMatchesOracleEdgeCases(t *testing.T) {
 	}
 }
 
+// TestRepMatchesSeqCCEdgeCases pins the collapse on what stresses a
+// union-find rather than the boundary build: self-loops, duplicate edges,
+// isolated vertices, an empty shard, a chain whose ids descend along the
+// path, and a chain whose ids jump about so that, after the last link,
+// some of its vertices sit up to four links below their root: only the
+// final flattening pass lands those on their component's smallest id.
+func TestRepMatchesSeqCCEdgeCases(t *testing.T) {
+	const n = 32
+	var edges [][2]uint32
+	// A chain 19-18-...-0 listed from its high end, with a self-loop and a
+	// duplicate link in the middle.
+	for v := uint32(19); v > 0; v-- {
+		edges = append(edges, [2]uint32{v, v - 1})
+	}
+	edges = append(edges, [2]uint32{7, 7}, [2]uint32{12, 11}, [2]uint32{11, 12})
+	// The deep chain; 30 and 31 stay isolated.
+	deep := []uint32{24, 23, 25, 22, 28, 26, 21, 27, 29, 20}
+	for i := 1; i < len(deep); i++ {
+		edges = append(edges, [2]uint32{deep[i-1], deep[i]})
+	}
+	g := mustGraph(csrFromEdges(n, edges))
+	for _, k := range []int{1, 2, 3, 5} {
+		ranges := parallel.PartitionEdges(g.Offsets(), k)
+		// An empty range in front of the first shard.
+		ranges = append([]parallel.Range{{Lo: 0, Hi: 0}}, ranges...)
+		for _, r := range ranges {
+			sl, err := graph.SliceFromGraph(g, r.Lo, r.Hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstOracle(t, sl, ranges, g.MaxDegreeVertex())
+		}
+	}
+}
+
 // csrFromEdges builds a symmetric CSR that keeps duplicate edges and
 // self-loops (a self-loop occupies one slot); graph.BuildUndirected would
 // normalize both away.
@@ -223,31 +291,37 @@ func csrFromEdges(n int, edges [][2]uint32) (*graph.Graph, error) {
 	return graph.FromCSR(offsets, adj)
 }
 
-// BenchmarkNewNode measures the sharded path's solve phase — every shard's
-// interior solve and boundary build — on RMAT-14 cut into two in-memory
-// shards, without the file I/O or the exchange.
+// BenchmarkNewNode measures the sharded path's collapse phase — every
+// shard's union-find collapse and boundary build — on a compacted RMAT graph
+// cut into two in-memory shards, without the file I/O or the exchange:
+// rmat14 is the shard-social graph, rmat18 a shard too large for the cache.
 func BenchmarkNewNode(b *testing.B) {
-	g := mustGraph(gen.RMATCompact(gen.DefaultRMAT(14, 16, 42)))
-	gs := NewGraphSource(g, 2)
-	ranges, hub := gs.Ranges(), gs.Hub()
-	parts := make([]*graph.CSRSlice, gs.Shards())
-	for i := range parts {
-		sl, err := gs.Slice(i)
-		if err != nil {
-			b.Fatal(err)
-		}
-		parts[i] = sl
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for it := 0; it < b.N; it++ {
-		for i, sl := range parts {
-			n, _, err := NewNode(i, sl, ranges, hub, core.Config{})
-			if err != nil {
-				b.Fatal(err)
+	for _, scale := range []int{14, 18} {
+		var parts []*graph.CSRSlice
+		var ranges []parallel.Range
+		var hub uint32
+		b.Run(fmt.Sprintf("rmat%d", scale), func(b *testing.B) {
+			// b.Run calls this once per b.N probe; build the shards once.
+			if parts == nil {
+				g := mustGraph(gen.RMATCompact(gen.DefaultRMAT(scale, 16, 42)))
+				gs := NewGraphSource(g, 2)
+				ranges, hub = gs.Ranges(), gs.Hub()
+				for i := 0; i < gs.Shards(); i++ {
+					sl, err := gs.Slice(i)
+					if err != nil {
+						b.Fatal(err)
+					}
+					parts = append(parts, sl)
+				}
 			}
-			benchNode = n
-		}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				for i, sl := range parts {
+					benchNode = NewNode(i, sl, ranges, hub)
+				}
+			}
+		})
 	}
 }
 

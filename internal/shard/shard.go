@@ -185,7 +185,7 @@ func Write(g *graph.Graph, dir string, k int) (*Manifest, error) {
 // graph (the cc.AlgoShard path and the equivalence tests). Slice(i) hands
 // out shard i's adjacency; Release returns it — for mapped sets that unmaps
 // the file, which is what keeps at most one shard's adjacency resident
-// during the solve phase.
+// during the collapse phase.
 type Source interface {
 	// Vertices returns the global |V|.
 	Vertices() int
