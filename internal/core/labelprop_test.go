@@ -124,9 +124,10 @@ var updateTraces = flag.Bool("update-traces", false, "rewrite testdata/lpfamily_
 
 const lpFamilyTraceGolden = "testdata/lpfamily_traces.golden"
 
-// lpFamilyTraces renders the per-iteration trace of DOLP, DOLPUnified and
-// LP on every instrFixtures graph, one line per iteration, at one thread,
-// where traversal order and therefore every field is deterministic. Zero and
+// lpFamilyTraces renders the per-iteration trace of DOLP, DOLPUnified, LP
+// and Thrifty (default, NoInitialPush and EagerFrontier) on every
+// instrFixtures graph, one line per iteration, at one thread, where
+// traversal order and therefore every field is deterministic. Zero and
 // Duration are left out: Duration is wall time, and Zero is pinned
 // separately by TestTraceZeroCountsLabelZero.
 func lpFamilyTraces(t *testing.T) []byte {
@@ -142,9 +143,17 @@ func lpFamilyTraces(t *testing.T) []byte {
 	b.WriteString("# fixture algo index kind active active-edges changed edges density threshold\n")
 	for _, name := range names {
 		g := fixtures[name]
-		for _, algo := range []string{"dolp", "dolp-unified", "lp"} {
+		for _, algo := range []string{"dolp", "dolp-unified", "lp", "thrifty", "thrifty-no-initial-push", "thrifty-eager-frontier"} {
 			tr := &counters.Trace{}
-			instrAlgos[algo](g, Config{Pool: pool, Ctr: counters.New(1), Trace: tr})
+			cfg := Config{Pool: pool, Ctr: counters.New(1), Trace: tr}
+			run := instrAlgos[algo]
+			switch algo {
+			case "thrifty-no-initial-push":
+				run, cfg.NoInitialPush = Thrifty, true
+			case "thrifty-eager-frontier":
+				run, cfg.EagerFrontier = Thrifty, true
+			}
+			run(g, cfg)
 			for _, r := range tr.Iters {
 				fmt.Fprintf(&b, "%s %s %d %s %d %d %d %d %v %v\n", name, algo, r.Index, r.Kind,
 					r.Active, r.ActiveEdges, r.Changed, r.Edges, r.Density, r.Threshold)
