@@ -14,10 +14,9 @@
 package cc
 
 import (
-	"time"
-
 	"thriftylp/graph"
 	"thriftylp/internal/core"
+	"thriftylp/internal/counters"
 	"thriftylp/internal/parallel"
 )
 
@@ -54,33 +53,15 @@ func Algorithms() []Algorithm {
 }
 
 // IterationStats is per-iteration telemetry of a label-propagation run,
-// populated when WithInstrumentation is supplied.
-type IterationStats struct {
-	// Index is the iteration number; Thrifty counts its initial push as
-	// iteration 0.
-	Index int
-	// Kind is "pull", "push", "pull-frontier" or "initial-push".
-	Kind string
-	// Active is the frontier size at iteration start.
-	Active int64
-	// ActiveEdges is the summed degree of the frontier at iteration start
-	// (the |F.E| term of the density ratio).
-	ActiveEdges int64
-	// Changed is the number of vertices whose label changed.
-	Changed int64
-	// ConvergedZero is the number of vertices holding label 0 at iteration
-	// end (meaningful for Thrifty's Zero Convergence).
-	ConvergedZero int64
-	// Edges is the number of edge traversals performed this iteration.
-	Edges int64
-	// Density is the frontier density that drove the direction decision.
-	Density float64
-	// Threshold is the push/pull density threshold the direction decision
-	// compared Density against; together they carry the *why* of the choice.
-	Threshold float64
-	// Duration is the iteration's wall time.
-	Duration time.Duration
-}
+// populated when WithInstrumentation is supplied. It is the kernels' own
+// record: Index (Thrifty counts its initial push as iteration 0), Kind
+// ("pull", "push", "pull-frontier" or "initial-push"), the frontier at
+// iteration start (Active vertices, ActiveEdges summed degree), Changed
+// labels, Zero (vertices holding label 0 at iteration end, which Thrifty's
+// Zero Convergence skips), Edges traversed, the Density and Threshold the
+// direction decision compared, and the iteration's wall Duration. Its JSON
+// form is the iteration part of a trace/v1 record.
+type IterationStats = counters.IterRecord
 
 // Instrumentation collects software event counts (the paper's Fig 5/6
 // hardware-counter substitutes) and per-iteration telemetry.

@@ -92,8 +92,8 @@ func TestInstrumentationPopulated(t *testing.T) {
 	// giant component size.
 	_, giant := res.LargestComponent()
 	last := inst.Iterations[len(inst.Iterations)-1]
-	if last.ConvergedZero != giant {
-		t.Fatalf("final zero count %d != giant size %d", last.ConvergedZero, giant)
+	if last.Zero != giant {
+		t.Fatalf("final zero count %d != giant size %d", last.Zero, giant)
 	}
 }
 

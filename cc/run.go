@@ -175,14 +175,7 @@ func RunContext(ctx context.Context, a Algorithm, g *graph.Graph, opts ...Option
 		}
 		o.cfg.Ctr = counters.New(pool.Threads())
 		o.cfg.Lines = counters.NewLineTracker(g.NumVertices())
-		tr := &counters.Trace{}
-		if o.inst.OnIteration != nil {
-			cb := o.inst.OnIteration
-			tr.OnIteration = func(rec counters.IterRecord, labels []uint32) {
-				cb(toIterStats(rec), labels)
-			}
-		}
-		o.cfg.Trace = tr
+		o.cfg.Trace = &counters.Trace{OnIteration: o.inst.OnIteration}
 	}
 
 	// Panic isolation boundary: algorithm or pool-worker panics become
@@ -242,10 +235,7 @@ func RunContext(ctx context.Context, a Algorithm, g *graph.Graph, opts ...Option
 		for _, e := range counters.Events() {
 			o.inst.Events[e.String()] = o.cfg.Ctr.Total(e)
 		}
-		o.inst.Iterations = o.inst.Iterations[:0]
-		for _, rec := range o.cfg.Trace.Iters {
-			o.inst.Iterations = append(o.inst.Iterations, toIterStats(rec))
-		}
+		o.inst.Iterations = o.cfg.Trace.Iters
 		stats.Events = o.inst.Events
 	}
 
@@ -266,21 +256,6 @@ func RunContext(ctx context.Context, a Algorithm, g *graph.Graph, opts ...Option
 		}
 	}
 	return res, nil
-}
-
-func toIterStats(rec counters.IterRecord) IterationStats {
-	return IterationStats{
-		Index:         rec.Index,
-		Kind:          string(rec.Kind),
-		Active:        rec.Active,
-		ActiveEdges:   rec.ActiveEdges,
-		Changed:       rec.Changed,
-		ConvergedZero: rec.Zero,
-		Edges:         rec.Edges,
-		Density:       rec.Density,
-		Threshold:     rec.Threshold,
-		Duration:      rec.Duration,
-	}
 }
 
 // Thrifty runs Thrifty Label Propagation (the paper's Algorithm 2).

@@ -287,7 +287,7 @@ func runOne(ctx context.Context, a cc.Algorithm, g *graph.Graph, ist *graph.Inge
 		fmt.Println()
 		for _, it := range instData.Iterations {
 			fmt.Printf("  iter %3d %-13s active=%-10d changed=%-10d zero=%-10d edges=%-12d density=%.4f%% time=%v\n",
-				it.Index, it.Kind, it.Active, it.Changed, it.ConvergedZero, it.Edges, it.Density*100, it.Duration.Round(time.Microsecond))
+				it.Index, it.Kind, it.Active, it.Changed, it.Zero, it.Edges, it.Density*100, it.Duration.Round(time.Microsecond))
 		}
 	}
 

@@ -47,8 +47,8 @@ func TestThriftyccTrace(t *testing.T) {
 		t.Fatalf("trace has %d records, stdout reported %d iterations", len(recs), iterations)
 	}
 	for i, rec := range recs {
-		if rec.Iter != i {
-			t.Errorf("record %d has iter %d, want monotone ids", i, rec.Iter)
+		if rec.Index != i {
+			t.Errorf("record %d has iter %d, want monotone ids", i, rec.Index)
 		}
 		if rec.Schema != obs.TraceSchema {
 			t.Errorf("record %d schema = %q", i, rec.Schema)
@@ -56,7 +56,7 @@ func TestThriftyccTrace(t *testing.T) {
 		if rec.Algo != "thrifty" || rec.Dataset != "rmat:12:8" || rec.Run != 0 {
 			t.Errorf("record %d identity = %q/%q/%d", i, rec.Algo, rec.Dataset, rec.Run)
 		}
-		if rec.Kind == "" || rec.DurationNs <= 0 {
+		if rec.Kind == "" || rec.Duration <= 0 {
 			t.Errorf("record %d missing kind/duration: %+v", i, rec)
 		}
 	}

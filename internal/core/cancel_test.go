@@ -38,6 +38,22 @@ func TestCancelPreRequestedStopsEveryAlgorithm(t *testing.T) {
 	}
 }
 
+// TestThriftyCancelAtInitialPushKeepsTelemetry: a run cancelled at the
+// initial-push boundary leaves through the same exit as any other, so the
+// initial push it did run stays in PhaseDurations.
+func TestThriftyCancelAtInitialPushKeepsTelemetry(t *testing.T) {
+	g := mustGraph(gen.RMAT(gen.DefaultRMAT(10, 8, 3)))
+	stop := &Stop{}
+	stop.Request()
+	res := Thrifty(g, Config{Stop: stop})
+	if !res.Canceled || res.Phase != "initial-push" {
+		t.Fatalf("Canceled = %v, Phase = %q; want true, initial-push", res.Canceled, res.Phase)
+	}
+	if _, ok := res.PhaseDurations["initial-push"]; !ok {
+		t.Fatalf("PhaseDurations = %v, want an initial-push entry", res.PhaseDurations)
+	}
+}
+
 // TestCancelUnrequestedStopIsInert: passing a Stop that is never requested
 // must not change the outcome — every algorithm still converges to the
 // oracle partition and reports Canceled = false.

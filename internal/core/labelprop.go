@@ -234,14 +234,12 @@ func dolpRun[A labelAccess, P program, I instr[I]](g *graph.Graph, cfg Config, r
 	oldFr.activeE = g.NumDirectedEdges()
 	sch := newScheduler(g, cfg, pool)
 
-	res := Result{}
+	res := Result{PhaseDurations: make(map[string]time.Duration, 2)}
+	loop := lpLoop{cfg: cfg, pool: pool, res: &res}
 	maxIters := cfg.maxIters(n)
-	phases := make(map[string]time.Duration, 2)
 	for oldFr.activeV > 0 && res.Iterations < maxIters {
-		start := time.Now()
-		ctrBefore := cfg.Ctr.Total(counters.EdgesProcessed)
+		loop.begin()
 		rec := counters.IterRecord{
-			Index:       res.Iterations,
 			Active:      oldFr.activeV,
 			ActiveEdges: oldFr.activeE,
 			Density:     oldFr.density(g),
@@ -250,13 +248,11 @@ func dolpRun[A labelAccess, P program, I instr[I]](g *graph.Graph, cfg Config, r
 		if rec.Density < threshold {
 			// Push traversal (lines 9-12).
 			rec.Kind = counters.KindPush
-			res.PushIterations++
 			rec.Changed = pushSweep[A, P](g, pool, read, write, oldFr.extract(pool), newFr.bm, cfg.Stop, proto)
 		} else {
 			// Pull traversal (lines 13-20): all vertices, ignoring frontier
 			// membership of neighbours.
 			rec.Kind = counters.KindPull
-			res.PullIterations++
 			rec.Changed = pullSweep[A, P](g, sch, read, write, newFr.bm, cfg.Stop, proto)
 		}
 
@@ -277,23 +273,16 @@ func dolpRun[A labelAccess, P program, I instr[I]](g *graph.Graph, cfg Config, r
 		oldFr, newFr = newFr, oldFr
 		newFr.bm.Reset()
 		newFr.activeV, newFr.activeE = 0, 0
-		cfg.Lines.FlushIteration(cfg.Ctr, 0)
 
-		res.Iterations++
-		rec.Edges = cfg.Ctr.Total(counters.EdgesProcessed) - ctrBefore
-		rec.Duration = time.Since(start)
-		phases[string(rec.Kind)] += rec.Duration
-		traceIter(cfg, pool, rec, read)
 		// Cancellation before the loop condition re-evaluates: a cancelled
 		// sweep skips partitions, and the resulting empty frontier means
 		// "aborted", not "converged".
-		if cfg.cancelPoint(&res, string(rec.Kind)) {
+		if loop.end(rec, read) {
 			break
 		}
 	}
 	res.Labels = write
 	res.Sched = sch.stealStats()
-	res.PhaseDurations = phases
 	return res
 }
 
@@ -325,50 +314,72 @@ func lpRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 	parallel.Copy(pool, newLbs, oldLbs)
 	sch := newScheduler(g, cfg, pool)
 
-	res := Result{}
+	res := Result{PhaseDurations: make(map[string]time.Duration, 1)}
+	loop := lpLoop{cfg: cfg, pool: pool, res: &res}
 	maxIters := cfg.maxIters(n)
-	var pullTime time.Duration
 	totalE := g.Offsets()[n] // every iteration scans the full adjacency
 	for res.Iterations < maxIters {
-		start := time.Now()
-		ebefore := cfg.Ctr.Total(counters.EdgesProcessed)
+		loop.begin()
 		// LP has no frontier and no direction decision: every vertex is
 		// active every iteration, density is by definition 1 and there is
 		// no threshold to compare against.
-		rec := counters.IterRecord{Index: res.Iterations, Kind: counters.KindPull, Active: int64(n), ActiveEdges: totalE, Density: 1}
+		rec := counters.IterRecord{Kind: counters.KindPull, Active: int64(n), ActiveEdges: totalE, Density: 1}
 		rec.Changed = pullSweep[splitLabels, minLabel](g, sch, oldLbs, newLbs, nil, cfg.Stop, proto)
-		res.Iterations++
-		rec.Edges = cfg.Ctr.Total(counters.EdgesProcessed) - ebefore
-		rec.Duration = time.Since(start)
-		pullTime += rec.Duration
-		traceIter(cfg, pool, rec, newLbs)
 		// The cancellation check must precede the convergence check: a
 		// cancelled sweep skips partitions, and its changed count of 0
 		// means "aborted", not "fixed point".
-		if cfg.cancelPoint(&res, string(counters.KindPull)) {
-			break
-		}
-		if rec.Changed == 0 {
+		if loop.end(rec, newLbs) || rec.Changed == 0 {
 			break
 		}
 		parallel.Copy(pool, oldLbs, newLbs)
 	}
 	res.Labels = newLbs
-	res.PullIterations = res.Iterations
 	res.Sched = sch.stealStats()
-	res.PhaseDurations = map[string]time.Duration{string(counters.KindPull): pullTime}
 	return res
 }
 
-// traceIter records one iteration when tracing is on, filling in Zero —
-// the vertices holding label 0 — as Thrifty does. The count is paid only
-// when tracing.
-func traceIter(cfg Config, pool *parallel.Pool, rec counters.IterRecord, labels []uint32) {
-	if !cfg.Trace.Enabled() {
-		return
+// lpLoop is the iteration bookkeeping the label-propagation run loops
+// (Thrifty, DO-LP, LP) share: begin opens an iteration and end closes it.
+// Both run once per iteration, never per edge or vertex, on every path
+// including noInstr.
+type lpLoop struct {
+	cfg   Config
+	pool  *parallel.Pool
+	res   *Result
+	start time.Time // clock at the open iteration's start
+	edges int64     // EdgesProcessed at the open iteration's start
+}
+
+// begin opens an iteration: one clock read and one counter total.
+func (l *lpLoop) begin() {
+	l.start = time.Now()
+	l.edges = l.cfg.Ctr.Total(counters.EdgesProcessed)
+}
+
+// end closes the open iteration, which rec describes by its Kind, frontier,
+// Changed, Density and Threshold. It counts the iteration by direction,
+// flushes the cache-line tracker, stamps rec's Index, Edges and Duration,
+// adds the duration to the run's PhaseDurations, and records rec with Zero —
+// the vertices holding label 0 in labels, counted only when tracing. It
+// reports whether the run was cancelled and must leave its loop.
+func (l *lpLoop) end(rec counters.IterRecord, labels []uint32) bool {
+	res := l.res
+	rec.Index = res.Iterations
+	res.Iterations++
+	if rec.Kind == counters.KindPush || rec.Kind == counters.KindInitialPush {
+		res.PushIterations++
+	} else {
+		res.PullIterations++
 	}
-	rec.Zero = countZeros(pool, labels)
-	cfg.Trace.Record(rec, labels)
+	l.cfg.Lines.FlushIteration(l.cfg.Ctr, 0)
+	rec.Edges = l.cfg.Ctr.Total(counters.EdgesProcessed) - l.edges
+	rec.Duration = time.Since(l.start)
+	res.PhaseDurations[string(rec.Kind)] += rec.Duration
+	if l.cfg.Trace.Enabled() {
+		rec.Zero = countZeros(l.pool, labels)
+		l.cfg.Trace.Record(rec, labels)
+	}
+	return l.cfg.cancelPoint(res, string(rec.Kind))
 }
 
 // pushSweep runs one push iteration over the sparse frontier active: each

@@ -77,54 +77,39 @@ func thriftyRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 	next := cfg.Arena.Worklist(n, threads)
 	sch := newScheduler(g, cfg, pool)
 
-	res := Result{}
+	res := Result{PhaseDurations: make(map[string]time.Duration, 4)}
+	loop := lpLoop{cfg: cfg, pool: pool, res: &res}
 	maxIters := cfg.maxIters(n)
-
-	// phases accumulates per-kind wall time at iteration boundaries — one
-	// map update per iteration, paid on every path including noInstr.
-	phases := make(map[string]time.Duration, 4)
-
-	// record wraps trace emission; zero counting is only paid when tracing.
-	record := func(dur time.Duration, kind counters.IterKind, active, activeE, changed, edges int64, density float64) {
-		if !cfg.Trace.Enabled() {
-			return
-		}
-		cfg.Trace.Record(counters.IterRecord{
-			Index:       res.Iterations - 1,
-			Kind:        kind,
-			Active:      active,
-			ActiveEdges: activeE,
-			Changed:     changed,
-			Zero:        countZeros(pool, labels),
-			Edges:       edges,
-			Density:     density,
-			Threshold:   threshold,
-			Duration:    dur,
-		}, labels)
-	}
 
 	// --- Initial Push (Algorithm 2 lines 11-12) ---
 	// One push iteration propagating the planted 0 from the hub to its
 	// neighbours. This is iteration 0 and is counted as an iteration (§V-C);
 	// it is the same kernel as every later push, over a one-vertex frontier.
+	//
+	// canceled makes a cancelled run leave at the next iteration boundary,
+	// before the loop condition: a cancelled sweep's empty frontier means
+	// "aborted", not "converged" (a partition-boundary Stopped poll inside
+	// the traversal has already cut the in-flight iteration short).
 	var activeV, activeE int64
+	var canceled bool
 	if cfg.NoInitialPush {
 		// Ablation: start the way DO-LP does — everything active, forcing
 		// a full first pull (Table VI measures what this costs).
 		activeV, activeE = int64(n), m
+		canceled = cfg.cancelPoint(&res, string(counters.KindInitialPush))
 	} else {
-		start := time.Now()
-		ebefore := cfg.Ctr.Total(counters.EdgesProcessed)
+		loop.begin()
 		cur.AddUnchecked(0, maxV)
 		activeV, activeE = thriftyPush(g, pool, labels, cur, next, 1+int64(g.Degree(maxV)), cfg.Stop, proto)
 		cur, next = next, cur
 		next.Reset()
-		cfg.Lines.FlushIteration(cfg.Ctr, 0)
-		res.Iterations++
-		res.PushIterations++
-		dur := time.Since(start)
-		phases[string(counters.KindInitialPush)] += dur
-		record(dur, counters.KindInitialPush, 1, int64(g.Degree(maxV)), activeV, cfg.Ctr.Total(counters.EdgesProcessed)-ebefore, 0)
+		canceled = loop.end(counters.IterRecord{
+			Kind:        counters.KindInitialPush,
+			Active:      1,
+			ActiveEdges: int64(g.Degree(maxV)),
+			Changed:     activeV,
+			Threshold:   threshold,
+		}, labels)
 	}
 
 	// cur now holds the detailed frontier produced by the initial push
@@ -143,51 +128,39 @@ func thriftyRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 	// e.g. the planted hub's only edges are self-loops — the first pull
 	// must still run, or vertices in other components would never be
 	// compared with their neighbours.
-	//
-	// phase tracks the most recent iteration kind for cancellation
-	// diagnostics; the cancelPoint check at the bottom of the loop body makes
-	// a cancelled run exit at the iteration boundary (a partition-boundary
-	// Stopped poll inside the traversal has already cut the in-flight
-	// iteration short). The check must precede the loop condition: a
-	// cancelled sweep's empty frontier means "aborted", not "converged".
-	phase := string(counters.KindInitialPush)
-	if cfg.cancelPoint(&res, phase) {
-		res.Labels = labels
-		return res
-	}
-	for (activeV > 0 || !didPull) && res.Iterations < maxIters {
-		start := time.Now()
-		ebefore := cfg.Ctr.Total(counters.EdgesProcessed)
-		density := float64(activeV+activeE) / float64(m)
-		activeAtStart, activeEAtStart := activeV, activeE
-		var kind counters.IterKind
+	for !canceled && (activeV > 0 || !didPull) && res.Iterations < maxIters {
+		loop.begin()
+		rec := counters.IterRecord{
+			Active:      activeV,
+			ActiveEdges: activeE,
+			Density:     float64(activeV+activeE) / float64(m),
+			Threshold:   threshold,
+		}
 
 		switch {
-		case didPull && density < threshold && haveFrontier:
+		case didPull && rec.Density < threshold && haveFrontier:
 			// --- Push traversal over the detailed sparse frontier ---
-			kind = counters.KindPush
+			rec.Kind = counters.KindPush
 			activeV, activeE = thriftyPush(g, pool, labels, cur, next, activeV+activeE, cfg.Stop, proto)
 			cur, next = next, cur
 			next.Reset()
-			res.PushIterations++
 
-		case didPull && density < threshold && !haveFrontier:
+		case didPull && rec.Density < threshold && !haveFrontier:
 			// --- Pull-Frontier: the bridge iteration (§IV-E) --- the last
 			// dense-style pull, which additionally records which vertices
 			// became active so the following push iterations have a
 			// worklist to consume.
-			kind = counters.KindPullFrontier
+			rec.Kind = counters.KindPullFrontier
 			cur.Reset()
 			activeV, activeE = thriftyPull(g, sch, labels, cur, true, cfg.Stop, proto)
 			haveFrontier = true
-			res.PullIterations++
 
 		default:
 			// --- Pull traversal with Zero Convergence, counting only ---
 			// (under the EagerFrontier ablation every pull also records the
 			// detailed frontier, paying the insertion cost the paper's
 			// counting-only design avoids).
-			kind = counters.KindPull
+			rec.Kind = counters.KindPull
 			if cfg.EagerFrontier {
 				cur.Reset()
 				activeV, activeE = thriftyPull(g, sch, labels, cur, true, cfg.Stop, proto)
@@ -197,22 +170,13 @@ func thriftyRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 				haveFrontier = false
 			}
 			didPull = true
-			res.PullIterations++
 		}
-		phase = string(kind)
-		res.Iterations++
-		cfg.Lines.FlushIteration(cfg.Ctr, 0)
-		dur := time.Since(start)
-		phases[phase] += dur
-		record(dur, kind, activeAtStart, activeEAtStart, activeV, cfg.Ctr.Total(counters.EdgesProcessed)-ebefore, density)
-		if cfg.cancelPoint(&res, phase) {
-			break
-		}
+		rec.Changed = activeV
+		canceled = loop.end(rec, labels)
 	}
 
 	res.Labels = labels
 	res.Sched = sch.stealStats()
-	res.PhaseDurations = phases
 	return res
 }
 

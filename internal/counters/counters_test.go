@@ -80,7 +80,7 @@ func TestEventNames(t *testing.T) {
 func TestTraceRecordsAndCallbacks(t *testing.T) {
 	var nilTrace *Trace
 	nilTrace.Record(IterRecord{}, nil) // no panic
-	if nilTrace.Enabled() || nilTrace.Total(func(IterRecord) int64 { return 1 }) != 0 {
+	if nilTrace.Enabled() {
 		t.Fatal("nil trace misbehaves")
 	}
 
@@ -97,12 +97,6 @@ func TestTraceRecordsAndCallbacks(t *testing.T) {
 	tr.Record(IterRecord{Index: 1, Kind: KindPush, Edges: 5, Duration: 2 * time.Millisecond}, labels)
 	if cbCount != 2 || len(tr.Iters) != 2 {
 		t.Fatalf("records=%d callbacks=%d", len(tr.Iters), cbCount)
-	}
-	if got := tr.Total(func(r IterRecord) int64 { return r.Edges }); got != 15 {
-		t.Fatalf("Total edges = %d", got)
-	}
-	if tr.TotalDuration() != 3*time.Millisecond {
-		t.Fatalf("TotalDuration = %v", tr.TotalDuration())
 	}
 }
 

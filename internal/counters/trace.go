@@ -16,18 +16,20 @@ const (
 )
 
 // IterRecord is the per-iteration telemetry row used to regenerate Fig 3,
-// Fig 7/8, Table VI and Table VII.
+// Fig 7/8, Table VI and Table VII. It is the one iteration record of the
+// repository: the kernels fill it, cc exposes it as IterationStats, and
+// obs.TraceRecord embeds it, so its JSON tags are the trace/v1 wire names.
 type IterRecord struct {
-	Index       int           // iteration number, counting the initial push as 0
-	Kind        IterKind      // traversal direction chosen
-	Active      int64         // active vertices at iteration start (frontier size)
-	ActiveEdges int64         // summed degree of the frontier at iteration start (|F.E|)
-	Changed     int64         // vertices whose label changed this iteration
-	Zero        int64         // vertices holding label 0 at iteration end
-	Edges       int64         // edges processed during this iteration
-	Density     float64       // (|F.V|+|F.E|)/|E| density that drove the direction choice
-	Threshold   float64       // push/pull density threshold the decision was made against
-	Duration    time.Duration // wall time of the iteration
+	Index       int           `json:"iter"`         // iteration number, counting the initial push as 0
+	Kind        IterKind      `json:"kind"`         // traversal direction chosen
+	Active      int64         `json:"active"`       // active vertices at iteration start (frontier size)
+	ActiveEdges int64         `json:"active_edges"` // summed degree of the frontier at iteration start (|F.E|)
+	Changed     int64         `json:"changed"`      // vertices whose label changed this iteration
+	Zero        int64         `json:"zero"`         // vertices holding label 0 at iteration end
+	Edges       int64         `json:"edges"`        // edges processed during this iteration
+	Density     float64       `json:"density"`      // (|F.V|+|F.E|)/|E| density that drove the direction choice
+	Threshold   float64       `json:"threshold"`    // push/pull density threshold the decision was made against
+	Duration    time.Duration `json:"duration_ns"`  // wall time of the iteration, integer nanoseconds on the wire
 }
 
 // Trace collects per-iteration records of one algorithm run. A nil *Trace is
@@ -54,27 +56,3 @@ func (t *Trace) Record(rec IterRecord, labels []uint32) {
 
 // Enabled reports whether t collects records.
 func (t *Trace) Enabled() bool { return t != nil }
-
-// Total sums fn over all recorded iterations.
-func (t *Trace) Total(fn func(IterRecord) int64) int64 {
-	if t == nil {
-		return 0
-	}
-	var s int64
-	for _, r := range t.Iters {
-		s += fn(r)
-	}
-	return s
-}
-
-// TotalDuration returns the summed iteration wall time.
-func (t *Trace) TotalDuration() time.Duration {
-	if t == nil {
-		return 0
-	}
-	var d time.Duration
-	for _, r := range t.Iters {
-		d += r.Duration
-	}
-	return d
-}

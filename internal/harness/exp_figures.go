@@ -119,7 +119,7 @@ func convergenceProfile(a cc.Algorithm, g *graph.Graph, cfg RunConfig) ([]conver
 		}
 		rows = append(rows, convergenceRow{
 			Index:        it.Index,
-			Kind:         it.Kind,
+			Kind:         string(it.Kind),
 			ActivePct:    100 * float64(it.Active) / float64(n),
 			ConvergedPct: 100 * float64(conv) / float64(n),
 		})

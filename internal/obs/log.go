@@ -6,6 +6,7 @@ import (
 	"log/slog"
 
 	"thriftylp/cc"
+	"thriftylp/internal/counters"
 )
 
 // NewLogger builds the CLIs' structured logger: text or JSON handler on w at
@@ -43,18 +44,18 @@ func (l RunLogger) Start(algo cc.Algorithm, vertices int, edges int64, threads i
 // Iterations logs the run's iteration stream: every iteration at debug level
 // and an info event at each phase switch explaining the direction decision.
 func (l RunLogger) Iterations(algo cc.Algorithm, iters []cc.IterationStats) {
-	prev := ""
+	var prev counters.IterKind
 	for _, it := range iters {
 		if it.Kind != prev {
 			l.Log.Info("phase switch",
-				"algo", string(algo), "iter", it.Index, "from", prev, "to", it.Kind,
+				"algo", string(algo), "iter", it.Index, "from", string(prev), "to", string(it.Kind),
 				"active", it.Active, "active_edges", it.ActiveEdges,
 				"density", it.Density, "threshold", it.Threshold)
 			prev = it.Kind
 		}
 		if l.Log.Enabled(context.Background(), slog.LevelDebug) {
 			l.Log.Debug("iteration",
-				"algo", string(algo), "iter", it.Index, "kind", it.Kind,
+				"algo", string(algo), "iter", it.Index, "kind", string(it.Kind),
 				"active", it.Active, "active_edges", it.ActiveEdges,
 				"changed", it.Changed, "edges", it.Edges,
 				"density", it.Density, "threshold", it.Threshold,

@@ -97,18 +97,19 @@ func (sp *RequestSpan) Finish(status int) {
 
 // record converts the span to its stable external trace form.
 func (sp *RequestSpan) record() TraceRecord {
-	return TraceRecord{
-		Schema:     TraceSchema,
-		Kind:       KindRequest,
-		ReqID:      sp.ID,
-		Endpoint:   sp.Endpoint,
-		Status:     sp.Status,
-		QueueNs:    sp.QueueNs,
-		AcquireNs:  sp.AcquireNs,
-		HandlerNs:  sp.HandlerNs,
-		EncodeNs:   sp.EncodeNs,
-		DurationNs: sp.TotalNs,
+	rec := TraceRecord{
+		Schema:    TraceSchema,
+		ReqID:     sp.ID,
+		Endpoint:  sp.Endpoint,
+		Status:    sp.Status,
+		QueueNs:   sp.QueueNs,
+		AcquireNs: sp.AcquireNs,
+		HandlerNs: sp.HandlerNs,
+		EncodeNs:  sp.EncodeNs,
 	}
+	rec.Kind = KindRequest
+	rec.Duration = time.Duration(sp.TotalNs)
+	return rec
 }
 
 // SlowLog is the sampled slow-query JSONL log: spans whose total latency

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"thriftylp/internal/counters"
 )
 
 // TestRequestSpanPhases walks one span through every boundary and checks
@@ -44,7 +46,7 @@ func TestRequestSpanPhases(t *testing.T) {
 	if rec.Kind != KindRequest || rec.Schema != TraceSchema {
 		t.Errorf("record kind/schema = %q/%q", rec.Kind, rec.Schema)
 	}
-	if rec.ReqID != sp.ID || rec.Endpoint != "component" || rec.DurationNs != sp.TotalNs {
+	if rec.ReqID != sp.ID || rec.Endpoint != "component" || rec.Duration.Nanoseconds() != sp.TotalNs {
 		t.Errorf("record did not carry the span: %+v", rec)
 	}
 }
@@ -109,7 +111,8 @@ func TestSlowLogWriteRecord(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewSlowLog(NewTraceWriter(&buf), time.Hour, 1)
 	for i := 0; i < 3; i++ {
-		if err := l.WriteRecord(TraceRecord{Schema: TraceSchema, Kind: KindReload, SolveNs: 1}); err != nil {
+		rec := TraceRecord{Schema: TraceSchema, IterRecord: counters.IterRecord{Kind: KindReload}, SolveNs: 1}
+		if err := l.WriteRecord(rec); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,8 +7,10 @@ import (
 	"io"
 	"os"
 	"sync"
+	"time"
 
 	"thriftylp/cc"
+	"thriftylp/internal/counters"
 )
 
 // TraceSchema identifies the JSONL trace record layout. Every record carries
@@ -17,31 +19,22 @@ import (
 // schema id; renames/semantic changes bump it.
 const TraceSchema = "thriftylp/trace/v1"
 
-// TraceRecord is one per-iteration telemetry row as serialized to the -trace
-// JSONL artifact. It is the stable external form of cc.IterationStats plus
-// run identity, and it carries the *why* of the direction decision: the
+// TraceRecord is one telemetry row as serialized to the -trace JSONL
+// artifact: the run identity plus the embedded iteration record
+// (cc.IterationStats), whose fields encode in place as iter, kind, active,
+// active_edges, changed, zero, edges, density, threshold and duration_ns.
+// An iteration row carries the *why* of the direction decision: the
 // frontier size (active/active_edges), the density it implied, and the
-// threshold the density was compared against.
+// threshold the density was compared against. Ingest, select, request and
+// reload rows reuse Kind and Duration and add the fields below.
 type TraceRecord struct {
 	Schema  string `json:"schema"`
 	Algo    string `json:"algo"`
 	Dataset string `json:"dataset,omitempty"`
 	// Run distinguishes repetitions when one invocation traces several runs
 	// (e.g. thriftycc -reps 3 emits runs 0, 1, 2).
-	Run  int `json:"run"`
-	Iter int `json:"iter"`
-	// Kind is the traversal direction chosen ("pull", "push",
-	// "pull-frontier", "initial-push") or "ingest" for a graph-loading
-	// record.
-	Kind        string  `json:"kind"`
-	Active      int64   `json:"active"`
-	ActiveEdges int64   `json:"active_edges"`
-	Changed     int64   `json:"changed"`
-	Zero        int64   `json:"zero"`
-	Edges       int64   `json:"edges"`
-	Density     float64 `json:"density"`
-	Threshold   float64 `json:"threshold"`
-	DurationNs  int64   `json:"duration_ns"`
+	Run int `json:"run"`
+	counters.IterRecord
 	// LoadNs and BuildNs split an "ingest" record's duration into the
 	// read+parse and CSR-construction phases. Additive fields: zero (and
 	// omitted) on iteration records, so the schema id is unchanged.
@@ -64,7 +57,7 @@ type TraceRecord struct {
 	// Request-span fields (Kind "request", written by the serving slow-query
 	// log): the request's id, endpoint, HTTP status, and the phase split of
 	// its latency (queue wait, snapshot acquire, handler, encode; the total
-	// is in DurationNs). Additive: absent on all earlier record kinds, so
+	// is in Duration). Additive: absent on all earlier record kinds, so
 	// the schema id is unchanged.
 	ReqID     uint64 `json:"req_id,omitempty"`
 	Endpoint  string `json:"endpoint,omitempty"`
@@ -76,41 +69,24 @@ type TraceRecord struct {
 	// Reload-span fields (Kind "reload", one record per snapshot publish,
 	// including the initial load): the validate/solve/publish phase split;
 	// ingest time rides the existing LoadNs field and the total is in
-	// DurationNs. Additive, schema id unchanged.
+	// Duration. Additive, schema id unchanged.
 	ValidateNs int64 `json:"validate_ns,omitempty"`
 	SolveNs    int64 `json:"solve_ns,omitempty"`
 	PublishNs  int64 `json:"publish_ns,omitempty"`
 }
 
-// Record kinds introduced by the serving telemetry layer; iteration records
-// keep using the traversal-direction kinds and "ingest"/"select" documented
-// on TraceRecord.Kind.
+// Kinds of the non-iteration records; iteration records carry the
+// traversal-direction kinds of counters.IterKind.
 const (
+	// KindIngest marks a graph-loading record.
+	KindIngest counters.IterKind = "ingest"
+	// KindSelect marks an auto run's algorithm-selection record.
+	KindSelect counters.IterKind = "select"
 	// KindRequest marks a request-span record from the slow-query log.
-	KindRequest = "request"
+	KindRequest counters.IterKind = "request"
 	// KindReload marks a snapshot load/reload span record.
-	KindReload = "reload"
+	KindReload counters.IterKind = "reload"
 )
-
-// traceFromIteration converts one iteration's stats to its external form.
-func traceFromIteration(algo, dataset string, run int, it cc.IterationStats) TraceRecord {
-	return TraceRecord{
-		Schema:      TraceSchema,
-		Algo:        algo,
-		Dataset:     dataset,
-		Run:         run,
-		Iter:        it.Index,
-		Kind:        it.Kind,
-		Active:      it.Active,
-		ActiveEdges: it.ActiveEdges,
-		Changed:     it.Changed,
-		Zero:        it.ConvergedZero,
-		Edges:       it.Edges,
-		Density:     it.Density,
-		Threshold:   it.Threshold,
-		DurationNs:  it.Duration.Nanoseconds(),
-	}
-}
 
 // TraceWriter streams TraceRecords as JSONL (one record per line). Writes
 // are serialized, so several runs may append concurrently.
@@ -153,7 +129,7 @@ func (t *TraceWriter) Write(rec TraceRecord) error {
 // WriteRun appends every iteration of one run, in execution order.
 func (t *TraceWriter) WriteRun(algo, dataset string, run int, iters []cc.IterationStats) error {
 	for _, it := range iters {
-		if err := t.Write(traceFromIteration(algo, dataset, run, it)); err != nil {
+		if err := t.Write(TraceRecord{Algo: algo, Dataset: dataset, Run: run, IterRecord: it}); err != nil {
 			return err
 		}
 	}
@@ -161,35 +137,27 @@ func (t *TraceWriter) WriteRun(algo, dataset string, run int, iters []cc.Iterati
 }
 
 // WriteIngest appends one graph-ingestion record: Kind "ingest", with the
-// load/build phase split in LoadNs/BuildNs and their sum in DurationNs.
+// load/build phase split in LoadNs/BuildNs and their sum in Duration.
 func (t *TraceWriter) WriteIngest(dataset string, loadNs, buildNs int64) error {
-	return t.Write(TraceRecord{
-		Schema:     TraceSchema,
-		Algo:       "ingest",
-		Dataset:    dataset,
-		Kind:       "ingest",
-		LoadNs:     loadNs,
-		BuildNs:    buildNs,
-		DurationNs: loadNs + buildNs,
-	})
+	rec := TraceRecord{Algo: "ingest", Dataset: dataset, LoadNs: loadNs, BuildNs: buildNs}
+	rec.Kind = KindIngest
+	rec.Duration = time.Duration(loadNs + buildNs)
+	return t.Write(rec)
 }
 
 // WriteSelector appends one algorithm-selection record for an auto run:
 // Kind "select", Algo "auto", the chosen algorithm, the rule that fired,
-// the probe values it fired on, and the probe's cost in DurationNs. No-op
+// the probe values it fired on, and the probe's cost in Duration. No-op
 // when the run carries no probe (i.e. was not an AlgoAuto run).
 func (t *TraceWriter) WriteSelector(dataset string, run int, st *cc.RunStats) error {
 	if st == nil || st.Probe == nil {
 		return nil
 	}
 	p := st.Probe
-	return t.Write(TraceRecord{
-		Schema:         TraceSchema,
+	rec := TraceRecord{
 		Algo:           string(st.Algorithm),
 		Dataset:        dataset,
 		Run:            run,
-		Kind:           "select",
-		DurationNs:     p.Cost.Nanoseconds(),
 		Selected:       string(st.Selected),
 		Reason:         p.Reason,
 		ProbeVertices:  p.Vertices,
@@ -200,7 +168,10 @@ func (t *TraceWriter) WriteSelector(dataset string, run int, st *cc.RunStats) er
 		ProbeAlpha:     p.SampleAlpha,
 		ProbeCoverage:  p.SampleCoverage,
 		ProbeLargestCC: p.LargestSampleComponent,
-	})
+	}
+	rec.Kind = KindSelect
+	rec.Duration = p.Cost
+	return t.Write(rec)
 }
 
 // Flush forces buffered records to the underlying writer without closing

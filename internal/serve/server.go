@@ -292,15 +292,16 @@ func (s *Server) Reload(ctx context.Context) error {
 		// One span record per publish, initial load included: the
 		// ingest/validate/solve/publish split that decides whether a slow
 		// reload is I/O, a hostile file, or the solve itself.
-		_ = s.slow.WriteRecord(obs.TraceRecord{
-			Kind:       obs.KindReload,
+		rec := obs.TraceRecord{
 			Dataset:    s.cfg.Path,
 			LoadNs:     sn.Phases.IngestNs,
 			ValidateNs: sn.Phases.ValidateNs,
 			SolveNs:    sn.Phases.SolveNs,
 			PublishNs:  publishNs,
-			DurationNs: time.Since(start).Nanoseconds(),
-		})
+		}
+		rec.Kind = obs.KindReload
+		rec.Duration = time.Since(start)
+		_ = s.slow.WriteRecord(rec)
 	}
 	s.log.Info("snapshot published",
 		"path", s.cfg.Path,

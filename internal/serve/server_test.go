@@ -369,7 +369,7 @@ func TestServerSlowLog(t *testing.T) {
 		switch r.Kind {
 		case obs.KindRequest:
 			reqs++
-			if r.ReqID == 0 || r.Status != http.StatusOK || r.DurationNs <= 0 {
+			if r.ReqID == 0 || r.Status != http.StatusOK || r.Duration <= 0 {
 				t.Errorf("bad request record: %+v", r)
 			}
 			if r.Endpoint != "component" && r.Endpoint != "same" {
@@ -379,7 +379,7 @@ func TestServerSlowLog(t *testing.T) {
 			// The initial load publishes through the same path as a reload
 			// and records the ingest/validate/solve/publish split.
 			reloads++
-			if r.SolveNs <= 0 || r.DurationNs <= 0 || r.Dataset == "" {
+			if r.SolveNs <= 0 || r.Duration <= 0 || r.Dataset == "" {
 				t.Errorf("bad reload record: %+v", r)
 			}
 		}
