@@ -1,8 +1,9 @@
 # Convenience targets for the thriftylp repository.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build test lint check race cover bench verify experiments clean
+.PHONY: all build test fmtcheck lint check race cover bench verify experiments clean
 
 all: check
 
@@ -13,12 +14,19 @@ build:
 test:
 	$(GO) test ./...
 
-# Run the thriftyvet analyzer suite — hotpath, benignrace, padded,
-# errfreeze, metricfreeze, cancelpoint, plus the CFG/facts-based reflease,
-# mmapsafe, goroleak and dirhygiene — over the whole module and the nested
-# benchmark/ module through the go vet driver; see DESIGN.md §12 for the
-# annotation grammar and §17 for the dataflow engine.
-lint:
+# Fail if gofmt would rewrite any Go file. testdata/ is excluded: analyzer
+# fixtures such as dirhygiene's "dirty" package are unformatted on purpose.
+fmtcheck:
+	@out=$$(find . -path ./.bench_build -prune -o -name testdata -prune -o -name '*.go' -print | xargs $(GOFMT) -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
+# Check formatting, then run the thriftyvet analyzer suite — hotpath,
+# benignrace, padded, errfreeze, metricfreeze, cancelpoint, plus the
+# CFG/facts-based reflease, mmapsafe, goroleak and dirhygiene — over the
+# whole module and the nested benchmark/ module through the go vet driver;
+# see DESIGN.md §12 for the annotation grammar and §17 for the dataflow
+# engine.
+lint: fmtcheck
 	$(GO) build -o bin/thriftyvet ./cmd/thriftyvet
 	$(GO) vet -vettool=$(CURDIR)/bin/thriftyvet ./...
 	$(GO) -C benchmark vet -vettool=$(CURDIR)/bin/thriftyvet ./...

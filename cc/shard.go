@@ -13,8 +13,8 @@ import (
 
 // AlgoShard is sharded out-of-core Thrifty: the graph is split into
 // vertex-range CSR shards, each shard is collapsed to its interior
-// components with one union-find pass while only that shard's adjacency is
-// resident, and the shards then reconcile through rounds of compacted
+// components with a sampled union-find pass while only that shard's
+// adjacency is resident, and the shards then reconcile through rounds of compacted
 // boundary-label exchange (internal/dist). On an in-memory graph the shards
 // are views — no copy — so AlgoShard is also a way to measure the exchange
 // overhead the out-of-core pipeline would pay. Labels land in the same

@@ -33,9 +33,9 @@ import (
 
 func main() {
 	var (
-		spec  = flag.String("gen", "", "generator spec (rmat:<scale>[:<ef>], road:<n>, er:<n>[:<m>], web:<scale>, ba:<n>[:<m>])")
-		out   = flag.String("o", "", "output path (.bin/.csr = binary CSR, anything else = edge list)")
-		seed  = flag.Uint64("seed", 42, "generator seed")
+		spec   = flag.String("gen", "", "generator spec (rmat:<scale>[:<ef>], road:<n>, er:<n>[:<m>], web:<scale>, ba:<n>[:<m>])")
+		out    = flag.String("o", "", "output path (.bin/.csr = binary CSR, anything else = edge list)")
+		seed   = flag.Uint64("seed", 42, "generator seed")
 		suite  = flag.String("suite", "", "materialize the whole analog suite at this scale (small/medium/large)")
 		dir    = flag.String("dir", "datasets", "output directory for -suite")
 		shards = flag.Int("shards", 0, "write a sharded CSR set with this many shards to the -o directory")

@@ -1,7 +1,7 @@
 // Sharded out-of-core connected components: the graph is cut into
 // vertex-range CSR shards (balanced by edge count), each shard is collapsed
-// to its interior components with one union-find pass, and shards then
-// exchange boundary component labels to global convergence. The exchange is where
+// to its interior components with a sampled union-find pass, and shards
+// then exchange boundary component labels to global convergence. The exchange is where
 // Thrifty's zero-convergence property pays off across the cut: label-0
 // (hub-component) vertices are dropped from every future exchange, and only
 // labels that changed are shipped at all — this example prints the

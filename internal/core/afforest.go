@@ -2,6 +2,7 @@ package core
 
 import (
 	"thriftylp/graph"
+	"thriftylp/internal/afforest"
 	"thriftylp/internal/atomicx"
 	"thriftylp/internal/parallel"
 )
@@ -15,14 +16,6 @@ import (
 // yet in the dominant component — skipping the overwhelming majority of
 // edge work, the same insight Thrifty's Zero Convergence exploits on the
 // label-propagation side.
-
-// afforestNeighborRounds is the number of initial per-vertex neighbour
-// links; 2 is the value used by the reference implementation in GAP.
-const afforestNeighborRounds = 2
-
-// afforestSamples is the number of vertices sampled to identify the most
-// frequent component after the neighbour rounds (GAP uses 1024).
-const afforestSamples = 1024
 
 // afforestLink unites the components of u and v in comp, hooking the
 // higher-id root under the lower-id root with CAS, retrying through the
@@ -76,28 +69,6 @@ type chunkFlusher struct{ cfg *Config }
 
 func (f *chunkFlusher) flush(ck *chunkCounts, tid int) { ck.flush(f.cfg.Ctr, tid) }
 
-// sampleFrequentComponent returns the most frequent component among
-// afforestSamples pseudo-randomly probed vertices — GAP's
-// SampleFrequentElement with a deterministic probe sequence.
-func sampleFrequentComponent(comp []uint32) uint32 {
-	counts := make(map[uint32]int, 64)
-	n := uint64(len(comp))
-	state := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < afforestSamples; i++ {
-		state = state*6364136223846793005 + 1442695040888963407
-		v := (state >> 16) % n
-		counts[atomicx.LoadUint32(&comp[v])]++
-	}
-	var best uint32
-	bestCount := -1
-	for c, k := range counts {
-		if k > bestCount {
-			best, bestCount = c, k
-		}
-	}
-	return best
-}
-
 // Afforest runs the sampling-based union-find CC.
 func Afforest(g *graph.Graph, cfg Config) Result {
 	pool := cfg.pool()
@@ -112,7 +83,7 @@ func Afforest(g *graph.Graph, cfg Config) Result {
 	res := Result{}
 
 	// Phase 1: neighbour rounds — link each vertex to its r-th neighbour.
-	for r := 0; r < afforestNeighborRounds; r++ {
+	for r := 0; r < afforest.NeighborRounds; r++ {
 		sch.sweep(func(tid, lo, hi int) {
 			if cfg.Stop.Requested() {
 				return // cancellation poll at partition entry
@@ -142,7 +113,7 @@ func Afforest(g *graph.Graph, cfg Config) Result {
 
 	// Identify the (almost certainly giant) dominant component from a
 	// sample; its members skip phase 2 entirely.
-	giant := sampleFrequentComponent(comp)
+	giant := afforest.FrequentRoot(comp)
 
 	// Phase 2: finish the remaining edges, but only for vertices outside
 	// the dominant component.
@@ -159,7 +130,7 @@ func Afforest(g *graph.Graph, cfg Config) Result {
 				continue
 			}
 			nb := g.Neighbors(uint32(v))
-			for r := afforestNeighborRounds; r < len(nb); r++ {
+			for r := afforest.NeighborRounds; r < len(nb); r++ {
 				ck.edges++
 				afforestLink(uint32(v), nb[r], comp, &ck)
 			}

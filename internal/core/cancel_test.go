@@ -54,6 +54,22 @@ func TestThriftyCancelAtInitialPushKeepsTelemetry(t *testing.T) {
 	}
 }
 
+// TestThriftyNoInitialPushCancelNamesPull: under the NoInitialPush ablation
+// no initial push runs, so a stop requested before the run cancels the
+// first pull, and the run must say so rather than name the push it skipped.
+func TestThriftyNoInitialPushCancelNamesPull(t *testing.T) {
+	g := mustGraph(gen.RMAT(gen.DefaultRMAT(10, 8, 3)))
+	stop := &Stop{}
+	stop.Request()
+	res := Thrifty(g, Config{Stop: stop, NoInitialPush: true})
+	if !res.Canceled || res.Phase != "pull" || res.Iterations != 0 {
+		t.Fatalf("Canceled = %v, Phase = %q, Iterations = %d; want true, pull, 0", res.Canceled, res.Phase, res.Iterations)
+	}
+	if _, ok := res.PhaseDurations["initial-push"]; ok {
+		t.Fatalf("PhaseDurations = %v: no initial push ran", res.PhaseDurations)
+	}
+}
+
 // TestCancelUnrequestedStopIsInert: passing a Stop that is never requested
 // must not change the outcome — every algorithm still converges to the
 // oracle partition and reports Canceled = false.

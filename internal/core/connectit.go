@@ -2,6 +2,7 @@ package core
 
 import (
 	"thriftylp/graph"
+	"thriftylp/internal/afforest"
 	"thriftylp/internal/atomicx"
 	"thriftylp/internal/parallel"
 )
@@ -130,7 +131,7 @@ func ConnectItBFS(g *graph.Graph, cfg Config) Result {
 // connectItFinish is the shared Afforest-style finish: skip members of the
 // dominant sampled component, union every remaining edge, compress.
 func connectItFinish(g *graph.Graph, cfg Config, pool *parallel.Pool, comp []uint32, fl *chunkFlusher) {
-	giant := sampleFrequentComponent(comp)
+	giant := afforest.FrequentRoot(comp)
 	newScheduler(g, cfg, pool).sweep(func(tid, lo, hi int) {
 		if cfg.Stop.Requested() {
 			return // cancellation poll at partition entry

@@ -94,9 +94,10 @@ func thriftyRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 	var canceled bool
 	if cfg.NoInitialPush {
 		// Ablation: start the way DO-LP does — everything active, forcing
-		// a full first pull (Table VI measures what this costs).
+		// a full first pull (Table VI measures what this costs). A stop
+		// here cancels that pull, the iteration about to run.
 		activeV, activeE = int64(n), m
-		canceled = cfg.cancelPoint(&res, string(counters.KindInitialPush))
+		canceled = cfg.cancelPoint(&res, string(counters.KindPull))
 	} else {
 		loop.begin()
 		cur.AddUnchecked(0, maxV)

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"maps"
 	"testing"
 
+	"thriftylp/graph"
 	"thriftylp/graph/gen"
+	"thriftylp/internal/afforest"
 	"thriftylp/internal/counters"
 	"thriftylp/internal/parallel"
 )
@@ -52,8 +55,58 @@ func TestSampleFrequentComponent(t *testing.T) {
 		comp[i] = 7
 	}
 	comp[3] = 9
-	if got := sampleFrequentComponent(comp); got != 7 {
-		t.Fatalf("sampleFrequentComponent = %d", got)
+	if got := afforest.FrequentRoot(comp); got != 7 {
+		t.Fatalf("FrequentRoot = %d", got)
+	}
+}
+
+// TestAfforestTiedSampleIsDeterministic: when the sample splits evenly
+// between two components, the mode must not depend on map iteration order.
+// The fixture counts afforest.FrequentRoot's probes per vertex to give two
+// components exactly half the probes each — a star and a path, so the
+// finish pass's edge count depends on which one is skipped — and requires
+// identical one-thread counters over 20 runs.
+func TestAfforestTiedSampleIsDeterministic(t *testing.T) {
+	const n = 2048
+	hits := make([]int, n)
+	afforest.Probes(n, func(v int) { hits[v]++ })
+	var star, path []uint32
+	inStar := 0
+	for v := uint32(0); v < n; v++ {
+		if inStar+hits[v] <= afforest.Samples/2 {
+			star = append(star, v)
+			inStar += hits[v]
+		} else {
+			path = append(path, v)
+		}
+	}
+	if inStar != afforest.Samples/2 || len(star) < 4 || len(path) < 2 {
+		t.Fatalf("fixture does not tie: star holds %d of %d probes", inStar, afforest.Samples)
+	}
+	var edges []graph.Edge
+	for _, v := range star[1:] {
+		edges = append(edges, graph.Edge{U: star[0], V: v})
+	}
+	for i := 1; i < len(path); i++ {
+		edges = append(edges, graph.Edge{U: path[i-1], V: path[i]})
+	}
+	g := mustGraph(graph.BuildUndirected(edges))
+
+	pool := parallel.NewPool(1)
+	defer pool.Close()
+	var first map[counters.Event]int64
+	for run := 0; run < 20; run++ {
+		cfg := Config{Pool: pool, Ctr: counters.New(1)}
+		res := Afforest(g, cfg)
+		if res.Labels[star[len(star)-1]] != star[0] || res.Labels[path[len(path)-1]] != path[0] {
+			t.Fatalf("run %d: wrong components", run)
+		}
+		snap := cfg.Ctr.Snapshot()
+		if first == nil {
+			first = snap
+		} else if !maps.Equal(snap, first) {
+			t.Fatalf("run %d: counters %v, run 0 %v", run, snap, first)
+		}
 	}
 }
 

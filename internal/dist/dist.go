@@ -3,8 +3,10 @@
 // — through the out-of-core connected-components pipeline:
 //
 //  1. Collapse phase, sequential over shards: load one CSR slice, collapse
-//     it to its interior components with one union-find pass, extract the
-//     boundary lists, release the slice. At most one shard's adjacency is
+//     it to its interior components with a sampled union-find pass (link
+//     each vertex's first interior neighbours, then scan in full only the
+//     rows outside the dominant component), extract the boundary lists,
+//     release the slice. At most one shard's adjacency is
 //     resident at a time — this is what lets the pipeline run graphs whose
 //     adjacency exceeds RAM, with the per-vertex label state (a few bytes
 //     per vertex) as the only global footprint.
@@ -76,8 +78,8 @@ type Result struct {
 	// Rounds is the number of exchange rounds executed (the bootstrap
 	// emission is round 1).
 	Rounds int
-	// LocalIterations counts collapse passes: one per non-empty shard, as
-	// each shard's interior is collapsed in a single union-find pass.
+	// LocalIterations counts collapses: one per non-empty shard, as each
+	// shard's interior is collapsed into a single union-find forest.
 	LocalIterations int
 	// BoundaryEntries is the total deduplicated (component, target) entry
 	// count across shards — the static cut size.

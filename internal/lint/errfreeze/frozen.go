@@ -75,21 +75,21 @@ var FrozenServe = map[string]bool{
 // codec and streaming errors: corrupt-shard tests and operators match on
 // them when a shard set goes bad on disk.
 var FrozenShard = map[string]bool{
-	"shard: manifest schema %q, want %q":                                               true,
-	"shard: manifest has %d vertices across %d shards":                                 true,
-	"shard: manifest hub %d out of range [0,%d)":                                       true,
-	"shard: shard %d covers [%d,%d), want lo %d":                                       true,
-	"shard: shard %d has negative slot count %d":                                       true,
-	"shard: shards cover [0,%d), want [0,%d)":                                          true,
-	"shard: shard slot counts sum to %d, manifest claims %d":                           true,
-	"shard: parsing manifest: %w":                                                      true,
+	"shard: manifest schema %q, want %q":                                                   true,
+	"shard: manifest has %d vertices across %d shards":                                     true,
+	"shard: manifest hub %d out of range [0,%d)":                                           true,
+	"shard: shard %d covers [%d,%d), want lo %d":                                           true,
+	"shard: shard %d has negative slot count %d":                                           true,
+	"shard: shards cover [0,%d), want [0,%d)":                                              true,
+	"shard: shard slot counts sum to %d, manifest claims %d":                               true,
+	"shard: parsing manifest: %w":                                                          true,
 	"shard: %s header {%d [%d,%d) %d slots} disagrees with manifest {%d [%d,%d) %d slots}": true,
-	"shard: corrupt exchange batch header":                                             true,
-	"shard: exchange batch truncated at pair %d of %d":                                 true,
-	"shard: exchange pair (%d,%d) outside shard range [%d,%d)":                         true,
-	"shard: %d trailing bytes after exchange batch":                                    true,
-	"shard: stream has %d vertices":                                                    true,
-	"shard: streamed degree count %d does not match %d directed slots (degree overflow?)": true,
+	"shard: corrupt exchange batch header":                                                 true,
+	"shard: exchange batch truncated at pair %d of %d":                                     true,
+	"shard: exchange pair (%d,%d) outside shard range [%d,%d)":                             true,
+	"shard: %d trailing bytes after exchange batch":                                        true,
+	"shard: stream has %d vertices":                                                        true,
+	"shard: streamed degree count %d does not match %d directed slots (degree overflow?)":  true,
 }
 
 // FrozenDist freezes the distributed-simulation config validation errors.

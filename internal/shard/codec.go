@@ -22,39 +22,28 @@ import (
 // no-compaction exchange would use — the denominator the compacted traffic
 // is measured against.
 
-// Pair is one decoded exchange message: global vertex V receives label L.
-type Pair struct {
-	V, L uint32
-}
-
 // NaivePairBytes is the per-pair cost of a naive fixed-width boundary
 // exchange: a 4-byte vertex id plus a 4-byte label, shipped every round for
 // every boundary entry whether or not anything changed.
 const NaivePairBytes = 8
 
-// encodePairs writes the count header and delta-encoded pairs into dst and
-// returns the bytes written. pairs must be sorted by vertex with distinct
-// vertices, each at least base, the destination shard's Lo; dst must have
-// room for them (Node.Emit sizes it exactly with uvarintLen).
-// This is the per-round exchange encode loop; it runs once per outgoing
-// batch per round, so it stays free of allocation and formatting.
+// putPair writes one pair's vertex delta and label at the front of dst and
+// returns the bytes written. Node.Emit writes the count header, then one
+// putPair per touched target in ascending vertex order, into a batch it has
+// sized exactly with uvarintLen.
+// This is the per-round exchange encode step, so it stays free of
+// allocation and formatting.
 //
 //thrifty:hotpath
-func encodePairs(dst []byte, base uint32, pairs []Pair) int {
-	n := binary.PutUvarint(dst, uint64(len(pairs)))
-	prev := base
-	for _, p := range pairs {
-		n += binary.PutUvarint(dst[n:], uint64(p.V-prev))
-		n += binary.PutUvarint(dst[n:], uint64(p.L))
-		prev = p.V
-	}
-	return n
+func putPair(dst []byte, delta, label uint32) int {
+	n := binary.PutUvarint(dst, uint64(delta))
+	return n + binary.PutUvarint(dst[n:], uint64(label))
 }
 
 // uvarintLen is the number of bytes binary.PutUvarint writes for x.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// DecodePairs decodes a batch encoded by encodePairs, invoking fn for every
+// DecodePairs decodes a batch encoded as above, invoking fn for every
 // pair in ascending vertex order. hi bounds the vertex ids (the destination
 // shard's Hi); a batch decoding outside [base, hi) or truncating mid-pair is
 // reported as an error rather than applied. The decode loop is the hot half

@@ -8,6 +8,7 @@ import (
 
 	"thriftylp/graph"
 	"thriftylp/graph/gen"
+	"thriftylp/internal/afforest"
 	"thriftylp/internal/core"
 	"thriftylp/internal/parallel"
 )
@@ -24,7 +25,7 @@ type destTargets struct {
 // are cut at the destStart boundaries and mapped through the target index
 // to global ids. Emit relies on exactly that index order and those cuts.
 func boundaryView(n *Node) [][]destTargets {
-	out := make([][]destTargets, len(n.rep))
+	out := make([][]destTargets, len(n.label))
 	for r := 0; r+1 < len(n.compOff); r++ {
 		idx := slices.Clone(n.entries[n.compOff[r]:n.compOff[r+1]])
 		slices.Sort(idx)
@@ -46,7 +47,8 @@ func boundaryView(n *Node) [][]destTargets {
 // oracleBoundary is the original boundary build, kept as the reference the
 // linear build is pinned to: every cut slot becomes a (rep, dest, target)
 // triple, the triples are sorted, and each (rep, dest) run is deduplicated.
-func oracleBoundary(s *graph.CSRSlice, rep []uint32, ranges []parallel.Range) (out [][]destTargets, entries int64) {
+// rep holds dense component indices below comps.
+func oracleBoundary(s *graph.CSRSlice, rep []uint32, comps int, ranges []parallel.Range) (out [][]destTargets, entries int64) {
 	type triple struct {
 		rep    uint32
 		dest   int32
@@ -70,7 +72,7 @@ func oracleBoundary(s *graph.CSRSlice, rep []uint32, ranges []parallel.Range) (o
 		}
 		return a.target < b.target
 	})
-	out = make([][]destTargets, s.NumLocal())
+	out = make([][]destTargets, comps)
 	for i := 0; i < len(ts); {
 		j := i
 		for j < len(ts) && ts[j].rep == ts[i].rep && ts[j].dest == ts[i].dest {
@@ -92,8 +94,10 @@ func oracleBoundary(s *graph.CSRSlice, rep []uint32, ranges []parallel.Range) (o
 
 // checkRep requires n.rep to equal core.SeqCC on the interior subgraph of
 // s — both endpoints inside [Lo, Hi), ids rebased to local — rebuilt here
-// from the slice: SeqCC labels each vertex with its component's smallest
-// id, which is exactly the representative the collapse promises.
+// from the slice. SeqCC labels each vertex with its component's smallest
+// id; renumbering those labels 0, 1, ... in order of first appearance is a
+// bijection of the same partition onto exactly the dense index the collapse
+// promises, so the comparison is as strict as before the renumbering.
 func checkRep(s *graph.CSRSlice, n *Node) error {
 	local := s.NumLocal()
 	offsets := make([]int64, local+1)
@@ -111,13 +115,25 @@ func checkRep(s *graph.CSRSlice, n *Node) error {
 		return fmt.Errorf("[%d,%d): interior subgraph: %v", s.Lo, s.Hi, err)
 	}
 	want := core.SeqCC(ig)
+	var comps uint32
+	for v, m := range want {
+		if m == uint32(v) {
+			want[v] = comps
+			comps++
+		} else {
+			want[v] = want[m]
+		}
+	}
 	if len(n.rep) != len(want) {
 		return fmt.Errorf("[%d,%d): %d representatives, want %d", s.Lo, s.Hi, len(n.rep), len(want))
 	}
 	for v := range want {
 		if n.rep[v] != want[v] {
-			return fmt.Errorf("[%d,%d): rep[%d] = %d, SeqCC says %d", s.Lo, s.Hi, v, n.rep[v], want[v])
+			return fmt.Errorf("[%d,%d): rep[%d] = %d, SeqCC renumbered says %d", s.Lo, s.Hi, v, n.rep[v], want[v])
 		}
+	}
+	if len(n.label) != int(comps) {
+		return fmt.Errorf("[%d,%d): %d components, SeqCC says %d", s.Lo, s.Hi, len(n.label), comps)
 	}
 	return nil
 }
@@ -131,7 +147,7 @@ func checkAgainstOracle(t *testing.T, s *graph.CSRSlice, ranges []parallel.Range
 	if err := checkRep(s, n); err != nil {
 		t.Fatal(err)
 	}
-	want, entries := oracleBoundary(s, n.rep, ranges)
+	want, entries := oracleBoundary(s, n.rep, len(n.label), ranges)
 	if n.BoundaryEntries != entries {
 		t.Fatalf("[%d,%d): BoundaryEntries %d, oracle %d", s.Lo, s.Hi, n.BoundaryEntries, entries)
 	}
@@ -271,6 +287,152 @@ func TestRepMatchesSeqCCEdgeCases(t *testing.T) {
 	}
 }
 
+// collapseFixture is one local shard [0, local) of a graph whose remaining
+// vertices form a second shard, built edge by edge so that each row lists
+// its neighbours in edge order.
+type collapseFixture struct {
+	name  string
+	local uint32
+	total int
+	edges [][2]uint32
+}
+
+// collapseFixtures stresses the sampled collapse where a union-find over
+// row prefixes goes wrong:
+//
+//   - leading-cut: every local row opens with two cut slots, then two
+//     rings; linking row positions 0 and 1 would link nothing;
+//   - split-giant: a ring of 8 and a ring of 40 joined only by edges past
+//     each row's second interior slot, so the head links leave two trees
+//     and the sampler picks the larger ring's root, 8, which the finish
+//     step hooks under 0: the sampled root is not the final giant's;
+//   - no-interior: every edge crosses the cut, so every vertex is its own
+//     component.
+func collapseFixtures() []collapseFixture {
+	const remote = 4
+	ring := func(edges [][2]uint32, lo, hi uint32) [][2]uint32 {
+		for v := lo; v < hi; v++ {
+			w := v + 1
+			if w == hi {
+				w = lo
+			}
+			edges = append(edges, [2]uint32{v, w})
+		}
+		return edges
+	}
+	lead := func(local uint32, per int) [][2]uint32 {
+		var edges [][2]uint32
+		for v := uint32(0); v < local; v++ {
+			for i := 0; i < per; i++ {
+				edges = append(edges, [2]uint32{v, local + (v+uint32(i))%remote})
+			}
+		}
+		return edges
+	}
+	leading := ring(ring(lead(30, 2), 0, 12), 12, 30)
+	split := ring(ring(lead(48, 1), 0, 8), 8, 48)
+	split = append(split, [2]uint32{1, 20}, [2]uint32{5, 44}, [2]uint32{7, 9})
+	return []collapseFixture{
+		{name: "leading-cut", local: 30, total: 30 + remote, edges: leading},
+		{name: "split-giant", local: 48, total: 48 + remote, edges: split},
+		{name: "no-interior", local: 20, total: 20 + remote, edges: lead(20, 3)},
+	}
+}
+
+// slice builds the fixture's graph and returns its local shard and the
+// two-shard ranges.
+func (f collapseFixture) slice(t *testing.T) (*graph.CSRSlice, []parallel.Range, uint32) {
+	t.Helper()
+	g := mustGraph(csrFromEdges(f.total, f.edges))
+	ranges := []parallel.Range{{Lo: 0, Hi: f.local}, {Lo: f.local, Hi: uint32(f.total)}}
+	sl, err := graph.SliceFromGraph(g, 0, f.local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sl, ranges, g.MaxDegreeVertex()
+}
+
+// roots returns the distinct roots of a flat forest.
+func roots(comp []uint32) []uint32 {
+	rs := slices.Clone(comp)
+	slices.Sort(rs)
+	return slices.Compact(rs)
+}
+
+// TestCollapseFixtures pins rep and the boundary on the collapse fixtures,
+// and what each one is built to exercise: the head links scan past cut
+// slots, the sampled root loses its rootship in the finish step, and a
+// shard without interior edges keeps one component per vertex.
+func TestCollapseFixtures(t *testing.T) {
+	for _, f := range collapseFixtures() {
+		t.Run(f.name, func(t *testing.T) {
+			sl, ranges, hub := f.slice(t)
+			n := checkAgainstOracle(t, sl, ranges, hub)
+			head := linkHeads(sl)
+			flatten(head)
+			switch f.name {
+			case "leading-cut":
+				if got := roots(head); !slices.Equal(got, []uint32{0, 12}) {
+					t.Fatalf("head-link roots %v, want [0 12]: the head links must pass the cut slots", got)
+				}
+			case "split-giant":
+				if got := roots(head); !slices.Equal(got, []uint32{0, 8}) {
+					t.Fatalf("head-link roots %v, want [0 8]", got)
+				}
+				if got := afforest.FrequentRoot(head); got != 8 {
+					t.Fatalf("sampled root %d, want 8 (the larger ring)", got)
+				}
+				if len(n.label) != 1 {
+					t.Fatalf("%d components, want 1", len(n.label))
+				}
+			case "no-interior":
+				if len(n.label) != int(f.local) {
+					t.Fatalf("%d components, want %d singletons", len(n.label), f.local)
+				}
+			}
+		})
+	}
+}
+
+// TestFinishIsExactForEveryRoot runs the finish step from the same head
+// forest with every local vertex as the skipped root — roots, non-roots,
+// the giant's and a singleton's — and requires the rep the sampled root
+// gives: the sampler may only change how many rows are scanned.
+func TestFinishIsExactForEveryRoot(t *testing.T) {
+	var shards []*graph.CSRSlice
+	for _, f := range collapseFixtures() {
+		sl, _, _ := f.slice(t)
+		shards = append(shards, sl)
+	}
+	for _, g := range []*graph.Graph{
+		mustGraph(gen.RMATCompact(gen.DefaultRMAT(9, 8, 42))),
+		mustGraph(gen.Web(gen.DefaultWeb(8, 42))),
+		mustGraph(gen.Components(6, 10)),
+	} {
+		gs := NewGraphSource(g, 2)
+		for i := 0; i < gs.Shards(); i++ {
+			sl, err := gs.Slice(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards = append(shards, sl)
+		}
+	}
+	for _, sl := range shards {
+		want, comps := collapse(sl)
+		head := linkHeads(sl)
+		flatten(head)
+		for root := uint32(0); root < uint32(len(head)); root++ {
+			comp := slices.Clone(head)
+			finish(sl, comp, root)
+			if got := number(comp); got != comps || !slices.Equal(comp, want) {
+				t.Fatalf("[%d,%d) root %d: %d components, rep differs from the sampled root's (%d components)",
+					sl.Lo, sl.Hi, root, got, comps)
+			}
+		}
+	}
+}
+
 // csrFromEdges builds a symmetric CSR that keeps duplicate edges and
 // self-loops (a self-loop occupies one slot); graph.BuildUndirected would
 // normalize both away.
@@ -292,7 +454,7 @@ func csrFromEdges(n int, edges [][2]uint32) (*graph.Graph, error) {
 }
 
 // BenchmarkNewNode measures the sharded path's collapse phase — every
-// shard's union-find collapse and boundary build — on a compacted RMAT graph
+// shard's sampled union-find collapse and boundary build — on a compacted RMAT graph
 // cut into two in-memory shards, without the file I/O or the exchange:
 // rmat14 is the shard-social graph, rmat18 a shard too large for the cache.
 func BenchmarkNewNode(b *testing.B) {

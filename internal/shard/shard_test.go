@@ -20,8 +20,14 @@ func mustGraph(g *graph.Graph, err error) *graph.Graph {
 	return g
 }
 
-// encode sizes a batch exactly with uvarintLen, as Node.Emit does, and
-// encodes it with encodePairs, which must fill the buffer.
+// Pair is one exchange message: global vertex V receives label L.
+type Pair struct {
+	V, L uint32
+}
+
+// encode sizes a batch exactly with uvarintLen and writes it the way
+// Node.Emit does — count header, then putPair per pair — which must fill
+// the buffer.
 func encode(t *testing.T, base uint32, pairs []Pair) []byte {
 	t.Helper()
 	size, prev := uvarintLen(uint64(len(pairs))), base
@@ -30,8 +36,13 @@ func encode(t *testing.T, base uint32, pairs []Pair) []byte {
 		prev = p.V
 	}
 	buf := make([]byte, size)
-	if n := encodePairs(buf, base, pairs); n != size {
-		t.Fatalf("encodePairs wrote %d bytes, uvarintLen sized %d", n, size)
+	n, prev := binary.PutUvarint(buf, uint64(len(pairs))), base
+	for _, p := range pairs {
+		n += putPair(buf[n:], p.V-prev, p.L)
+		prev = p.V
+	}
+	if n != size {
+		t.Fatalf("encoder wrote %d bytes, uvarintLen sized %d", n, size)
 	}
 	return buf
 }
@@ -74,7 +85,7 @@ func TestCodecGoldenBytes(t *testing.T) {
 }
 
 // TestUvarintLenMatchesPutUvarint pins the size Emit allocates each batch
-// at to what encodePairs writes, at every varint length boundary.
+// at to what the encoder writes, at every varint length boundary.
 func TestUvarintLenMatchesPutUvarint(t *testing.T) {
 	var buf [binary.MaxVarintLen64]byte
 	for shift := 0; shift < 64; shift++ {
