@@ -3,24 +3,24 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"thriftylp/internal/atomicx"
 	"time"
+
+	"thriftylp/internal/atomicx"
 )
 
-// FaultPlan is the fault-injection policy — the third instantiation of the
-// instrumentation seam (after noInstr and counting). It perturbs scheduling
-// at the same hook points the counters use: every hook event bumps a global
-// event counter, and the plan injects runtime.Gosched calls, sleeps, and an
-// optional panic at configured event counts. Running the kernels under a
-// plan with -race actively exercises the paper's benign-race claims (the
-// non-atomic dedup discipline of the worklists and the unified labels array,
-// §IV-A/§V-A) far beyond what natural scheduling reaches, and the panic
-// schedule drives the pool's recovery paths from arbitrary depths inside a
-// traversal.
+// FaultPlan is a fault-injection schedule for the label-propagation
+// kernels. The counting policy (instr.go) ticks it at every instrumentation
+// hook: each tick bumps a global event counter, and the plan injects
+// runtime.Gosched calls, sleeps, and an optional panic at configured event
+// counts. Running the kernels under a plan with -race actively exercises the
+// paper's benign-race claims (the non-atomic dedup discipline of the
+// worklists and the unified labels array, §IV-A/§V-A) far beyond what
+// natural scheduling reaches, and the panic schedule drives the pool's
+// recovery paths from arbitrary depths inside a traversal.
 //
-// A FaultPlan is selected by setting Config.Faults; it composes with
-// cancellation (Config.Stop) but not with counters — chaos runs measure
-// robustness, not event totals.
+// A FaultPlan is selected by setting Config.Faults. It composes with
+// cancellation (Config.Stop) and with Ctr, Lines and Trace: the plan only
+// perturbs scheduling, so the counters count what they count without it.
 type FaultPlan struct {
 	// GoschedEvery injects runtime.Gosched every Nth hook event (0 = never).
 	// Descheduling a worker mid-traversal widens the benign-race windows the
@@ -42,8 +42,11 @@ type FaultPlan struct {
 func (p *FaultPlan) Events() uint64 { return p.events.Load() }
 
 // tick advances the global event count and applies whichever injections are
-// scheduled for this event.
+// scheduled for this event. A nil plan ticks nothing.
 func (p *FaultPlan) tick() {
+	if p == nil {
+		return
+	}
 	n := p.events.Add(1)
 	if p.PanicAt != 0 && n == p.PanicAt {
 		panic(fmt.Sprintf("core: injected fault at hook event %d", n))
@@ -55,24 +58,3 @@ func (p *FaultPlan) tick() {
 		time.Sleep(p.Delay)
 	}
 }
-
-// chaos is the seam policy driven by a FaultPlan. Every hook ticks the plan;
-// cancellation is handled outside the seam (the kernels poll Config.Stop at
-// partition boundaries for every policy), so chaos runs remain cancellable.
-type chaos struct {
-	plan *FaultPlan
-}
-
-func newChaos(cfg Config) chaos {
-	return chaos{plan: cfg.Faults}
-}
-
-func (c chaos) Fresh() chaos { return c }
-func (c chaos) Visit()       { c.plan.tick() }
-func (c chaos) Edge()        { c.plan.tick() }
-func (c chaos) Load()        { c.plan.tick() }
-func (c chaos) Store()       { c.plan.tick() }
-func (c chaos) CAS()         { c.plan.tick() }
-func (c chaos) Branch()      { c.plan.tick() }
-func (c chaos) Touch(uint32) { c.plan.tick() }
-func (c chaos) Flush(int)    {}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -71,6 +72,15 @@ func TestChaosDelayPreservesCorrectness(t *testing.T) {
 			}
 		})
 	}
+	// The other one-array program on the same sweeps: its fixed point is
+	// the BFS distance from the hub.
+	t.Run("hop-distance-unified", func(t *testing.T) {
+		root := g.MaxDegreeVertex()
+		res := HopDistanceUnified(g, root, Config{Faults: plan})
+		if !slices.Equal(res.Labels, bfsOracle(g, root)) {
+			t.Fatal("hop distances diverge from BFS under delay injection")
+		}
+	})
 }
 
 // TestChaosInjectedPanicIsRecovered: a panic injected mid-traversal must
@@ -143,8 +153,8 @@ func TestChaosCancellationUnderInjection(t *testing.T) {
 	}
 }
 
-// TestChaosEventsObserved: sanity-check that the chaos policy is actually
-// instantiated — a run under a plan must tick hook events.
+// TestChaosEventsObserved: sanity-check that the counting policy actually
+// ticks the fault plan — a run under a plan must tick hook events.
 func TestChaosEventsObserved(t *testing.T) {
 	g := chaosGraph(t)
 	for _, a := range algorithmsUnderTest {

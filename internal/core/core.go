@@ -49,9 +49,11 @@ type Config struct {
 	// once requested, the run abandons remaining work and returns a partial
 	// Result with Canceled set. cc.RunContext arms it from a context.
 	Stop *Stop
-	// Faults, when non-nil, selects the fault-injection policy: scheduling
-	// perturbations (and optionally a panic) at the instrumentation hook
-	// points. Chaos tests only; mutually exclusive with Ctr/Lines/Trace.
+	// Faults, when non-nil, injects scheduling perturbations (and
+	// optionally a panic) at the instrumentation hook points of the
+	// label-propagation kernels, which then take the counting path. It
+	// composes with Ctr, Lines and Trace, whose totals it leaves unchanged.
+	// Chaos tests only.
 	Faults *FaultPlan
 	// Arena, when non-nil, supplies the run's working buffers (labels,
 	// worklists, bitmaps) from a reusable pool instead of fresh allocations;

@@ -7,11 +7,12 @@ import (
 )
 
 // This file defines the compile-time instrumentation policy the traversal
-// kernels are generic over. Every kernel (Thrifty push/pull/initial-push in
-// thrifty.go; the one push sweep and one pull sweep that DO-LP, DO-LP+Unified
-// and plain LP share in labelprop.go) is written once, parameterized by a
-// policy type; the run's Config selects the policy once, so hot loops never
-// branch on "is instrumentation on?" per edge.
+// kernels are generic over. Every label-propagation kernel (the one push
+// sweep and one pull sweep in labelprop.go that Thrifty, DO-LP,
+// DO-LP+Unified, LP and BFS hop distance share) is written once,
+// parameterized by a policy type; the run's Config selects the policy once,
+// so hot loops never branch on "is instrumentation on?" per edge. There are
+// exactly two policies:
 //
 //   - noInstr is the fast path: every hook is an empty method on a
 //     zero-size value. Go monomorphizes generic functions per concrete
@@ -21,7 +22,8 @@ import (
 //   - counting is the instrumented path: hooks accumulate into a
 //     per-worker chunkCounts block (registers/stack, flushed once per
 //     chunk) and feed the LineTracker, exactly as the pre-policy kernels
-//     did, so counter totals are bit-identical to historical runs.
+//     did, so counter totals are bit-identical to historical runs. When
+//     the run carries a FaultPlan (chaos.go), every hook also ticks it.
 //
 // The self-referential constraint (instr[I any] with Fresh() I) lets Fresh
 // return the policy's own concrete type without boxing: each worker calls
@@ -73,36 +75,40 @@ func (noInstr) Flush(int)      {}
 // counting is the instrumented policy: per-chunk local accumulation into
 // chunkCounts (mutated through the pointer field so the policy itself can
 // stay a value type and monomorphize), flushed to the shared Counters once
-// per chunk, plus cache-line tracking.
+// per chunk, plus cache-line tracking. Each hook also ticks plan, which is
+// nil unless the run injects faults; the nil test costs nothing next to the
+// counting itself.
 type counting struct {
 	ck    *chunkCounts
 	ctr   *counters.Counters
 	lines *counters.LineTracker
+	plan  *FaultPlan
 }
 
 // newCounting returns the instrumented-policy prototype for one run. The
 // prototype has no counter block; workers obtain usable instances via Fresh.
 func newCounting(cfg Config) counting {
-	return counting{ctr: cfg.Ctr, lines: cfg.Lines}
+	return counting{ctr: cfg.Ctr, lines: cfg.Lines, plan: cfg.Faults}
 }
 
 func (c counting) Fresh() counting {
-	return counting{ck: new(chunkCounts), ctr: c.ctr, lines: c.lines}
+	return counting{ck: new(chunkCounts), ctr: c.ctr, lines: c.lines, plan: c.plan}
 }
-func (c counting) Visit()         { c.ck.visits++ }
-func (c counting) Edge()          { c.ck.edges++ }
-func (c counting) Load()          { c.ck.loads++ }
-func (c counting) Store()         { c.ck.stores++ }
-func (c counting) CAS()           { c.ck.cas++ }
-func (c counting) Branch()        { c.ck.branches++ }
-func (c counting) Touch(v uint32) { c.lines.Touch(v) }
+func (c counting) Visit()         { c.ck.visits++; c.plan.tick() }
+func (c counting) Edge()          { c.ck.edges++; c.plan.tick() }
+func (c counting) Load()          { c.ck.loads++; c.plan.tick() }
+func (c counting) Store()         { c.ck.stores++; c.plan.tick() }
+func (c counting) CAS()           { c.ck.cas++; c.plan.tick() }
+func (c counting) Branch()        { c.ck.branches++; c.plan.tick() }
+func (c counting) Touch(v uint32) { c.lines.Touch(v); c.plan.tick() }
 func (c counting) Flush(tid int)  { c.ck.flush(c.ctr, tid) }
 
 // fastInstr reports whether the run can take the fully uninstrumented fast
-// path: no event counters, no cache-line tracking, and no per-iteration
-// trace (trace records derive their edge totals from the counters).
+// path: no event counters, no cache-line tracking, no per-iteration trace
+// (trace records derive their edge totals from the counters) and no fault
+// plan.
 func (c Config) fastInstr() bool {
-	return c.Ctr == nil && c.Lines == nil && !c.Trace.Enabled()
+	return c.Ctr == nil && c.Lines == nil && !c.Trace.Enabled() && c.Faults == nil
 }
 
 // The hook gates below are what make the fast path truly zero-cost. Go

@@ -180,10 +180,47 @@ func TestFastInstrSelection(t *testing.T) {
 		{"counters", Config{Ctr: counters.New(1)}, false},
 		{"lines", Config{Lines: counters.NewLineTracker(16)}, false},
 		{"trace", Config{Trace: &counters.Trace{}}, false},
+		{"faults", Config{Faults: &FaultPlan{}}, false},
 	}
 	for _, c := range cases {
 		if got := c.cfg.fastInstr(); got != c.fast {
 			t.Errorf("%s: fastInstr() = %v, want %v", c.name, got, c.fast)
 		}
+	}
+}
+
+// TestFaultsComposeWithCounters: a fault plan only perturbs scheduling, so a
+// one-thread run under a plan must report the same counter totals and
+// cache lines as the same run without one, and the plan must still tick.
+func TestFaultsComposeWithCounters(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(10, 8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := parallel.NewPool(1)
+	defer pool.Close()
+	for _, algo := range []string{"thrifty", "dolp"} {
+		t.Run(algo, func(t *testing.T) {
+			run := func(plan *FaultPlan) *counters.Counters {
+				cfg := Config{
+					Pool:   pool,
+					Ctr:    counters.New(1),
+					Lines:  counters.NewLineTracker(g.NumVertices()),
+					Faults: plan,
+				}
+				instrAlgos[algo](g, cfg)
+				return cfg.Ctr
+			}
+			plan := &FaultPlan{GoschedEvery: 101}
+			want, got := run(nil), run(plan)
+			if plan.Events() == 0 {
+				t.Fatal("the plan ticked no hook events")
+			}
+			for _, e := range counters.Events() {
+				if got.Total(e) != want.Total(e) {
+					t.Errorf("%s: %d under the plan, %d without it", e, got.Total(e), want.Total(e))
+				}
+			}
+		})
 	}
 }

@@ -9,15 +9,18 @@ import (
 	"thriftylp/internal/bitmap"
 	"thriftylp/internal/counters"
 	"thriftylp/internal/parallel"
+	"thriftylp/internal/worklist"
 )
 
-// This file holds the label-propagation baselines: DO-LP (Algorithm 1), its
-// Unified Labels ablation, and textbook LP. DO-LP and DO-LP+Unified share
-// one run loop, and all three share one push and one pull sweep. The same
-// loop and sweeps also run a second program, BFS hop distance from a root
-// (HopDistance, HopDistanceUnified): the paper's §VII question of how the
-// Unified Labels Array relates to asynchronous execution, asked of an
-// SpMV-style algorithm other than connected components.
+// This file holds the one push sweep and one pull sweep of the whole
+// label-propagation family, and the baselines' run loops: DO-LP
+// (Algorithm 1), its Unified Labels ablation, and textbook LP. DO-LP and
+// DO-LP+Unified share one run loop; Thrifty (thrifty.go) runs the same
+// sweeps under thriftyRule. The DO-LP loop and the sweeps also run a second
+// program, BFS hop distance from a root (HopDistance, HopDistanceUnified):
+// the paper's §VII question of how the Unified Labels Array relates to
+// asynchronous execution, asked of an SpMV-style algorithm other than
+// connected components.
 
 // labelAccess selects at compile time how the sweeps read and write labels.
 // Each instantiation of a sweep is compiled separately (the two types have
@@ -44,8 +47,11 @@ func shared[A labelAccess]() bool {
 
 // loadLabel and storeLabel spell the Sizeof test out instead of calling
 // shared: a generic call nested in an inlined generic call leaves a
-// dictionary load and nil check in the sweeps' per-edge loops.
-func loadLabel[A labelAccess](labels []uint32, v uint32) uint32 {
+// dictionary load and nil check in the sweeps' per-edge loops. They index
+// by int because the pull's vertex loop counts in int, and narrowing it to
+// uint32 costs a zero-extending move per vertex; a neighbour id loaded from
+// the adjacency array is already zero-extended.
+func loadLabel[A labelAccess](labels []uint32, v int) uint32 {
 	var a A
 	if unsafe.Sizeof(a) != 0 {
 		return atomicx.LoadUint32(&labels[v])
@@ -53,7 +59,7 @@ func loadLabel[A labelAccess](labels []uint32, v uint32) uint32 {
 	return labels[v]
 }
 
-func storeLabel[A labelAccess](labels []uint32, v, l uint32) {
+func storeLabel[A labelAccess](labels []uint32, v int, l uint32) {
 	var a A
 	if unsafe.Sizeof(a) != 0 {
 		atomicx.StoreUint32(&labels[v], l)
@@ -88,63 +94,60 @@ func across[P program](x uint32) uint32 {
 	return x
 }
 
-// frontierState tracks the active-vertex bitmap and the vertex/edge counts
-// that drive the push/pull direction decision of Algorithm 1 (line 7:
-// density = (|F.V| + |F.E|) / |E|). Edge counts use directed adjacency
-// slots in both numerator and denominator so the ratio is representation
-// independent.
-type frontierState struct {
-	bm      *bitmap.Bitmap
-	activeV int64
-	activeE int64
+// rule selects at compile time which of Thrifty's traversal techniques the
+// sweeps apply, folded through unsafe.Sizeof like labelAccess and program.
+// With it the sweeps run the ablation ladder of Fig 9/10: DOLP is
+// splitLabels+dolpRule, DOLPUnified is sharedLabels+dolpRule, and Thrifty is
+// sharedLabels+thriftyRule, the same sweep with the zero-label techniques.
+//
+//   - dolpRule: Algorithm 1's traversal. Pull scans every vertex's whole
+//     adjacency list, frontiers are bitmaps, and push charges one label load
+//     per edge.
+//   - thriftyRule: Algorithm 2's traversal. Pull skips a vertex holding 0
+//     and ends a scan at the first 0 it reads (Zero Convergence, §IV-B),
+//     charging one branch for each test; long adjacency lists run the
+//     prefetch-peeled loops; frontiers are worklist.Sets (§IV-E).
+type rule interface{ dolpRule | thriftyRule }
+
+type dolpRule struct{}
+type thriftyRule struct{ _ byte }
+
+// zeroRule reports whether R is thriftyRule. Call it straight from a sweep's
+// worker closure, as loadLabel is, so the test folds to a constant.
+func zeroRule[R rule]() bool {
+	var r R
+	return unsafe.Sizeof(r) != 0
 }
 
-// recount recomputes the active vertex and edge totals from the bitmap.
-// The scan is word-at-a-time (TrailingZeros64 drain): after the first few
-// iterations the frontier is sparse, so most 64-bit words are zero and cost
-// one load instead of 64 per-bit probes.
-func (f *frontierState) recount(pool *parallel.Pool, g *graph.Graph) {
-	n := g.NumVertices()
-	offs := g.Offsets()
-	var av, ae int64
-	parallel.For(pool, n, 4096, func(_, lo, hi int) {
-		var v, e int64
-		f.bm.ForEachRange(lo, hi, func(i int) {
-			v++
-			e += offs[i+1] - offs[i]
-		})
-		atomicx.AddInt64(&av, v)
-		atomicx.AddInt64(&ae, e)
-	})
-	f.activeV, f.activeE = av, ae
+// frontier is where a sweep records the vertices whose label it lowered:
+// dolpRule sweeps mark bm, thriftyRule sweeps add to ws. A nil target
+// records nothing (a pull only; push always records).
+type frontier struct {
+	bm *bitmap.Bitmap
+	ws *worklist.Set
 }
 
-// density returns (|F.V|+|F.E|)/|E| over directed slots.
-func (f *frontierState) density(g *graph.Graph) float64 {
+// density returns the direction-decision ratio of Algorithm 1 line 7,
+// (|F.V|+|F.E|)/|E|, over directed adjacency slots in both numerator and
+// denominator so the ratio is representation independent. It is 0 on an
+// edgeless graph.
+func density(g *graph.Graph, activeV, activeE int64) float64 {
 	m := g.NumDirectedEdges()
 	if m == 0 {
 		return 0
 	}
-	return float64(f.activeV+f.activeE) / float64(m)
+	return float64(activeV+activeE) / float64(m)
 }
 
-// extract gathers the set bits into a vertex list (dense→sparse frontier
-// conversion before a push iteration), word-at-a-time via AppendRange: a
-// push iteration only runs when the frontier is below the density threshold,
-// which is exactly when most bitmap words are zero and the drain loop skips
-// them in one branch each.
-func (f *frontierState) extract(pool *parallel.Pool) []uint32 {
-	threads := pool.Threads()
-	partial := make([][]uint32, threads)
-	n := f.bm.Len()
-	parallel.For(pool, n, 8192, func(tid, lo, hi int) {
-		partial[tid] = f.bm.AppendRange(partial[tid], lo, hi) //thrifty:benign-race per-thread collection buffer indexed by tid
+// fillFrontier loads the set bits of bm into ws, the dense→sparse frontier
+// conversion before a dolpRule push. Each thread appends the chunks it
+// claims in ascending order, so a one-thread fill lists the vertices in
+// ascending order. The bits are appended without marking ws; the push marks
+// its output in a bitmap, not in ws.
+func fillFrontier(pool *parallel.Pool, ws *worklist.Set, bm *bitmap.Bitmap) {
+	parallel.For(pool, bm.Len(), 8192, func(tid, lo, hi int) {
+		ws.AppendRange(tid, bm, lo, hi)
 	})
-	out := make([]uint32, 0, f.activeV)
-	for _, p := range partial {
-		out = append(out, p...)
-	}
-	return out
 }
 
 // DOLP is Direction-Optimizing Label Propagation, a faithful implementation
@@ -194,14 +197,10 @@ func dolp[A labelAccess, P program](g *graph.Graph, cfg Config, root uint32) Res
 	if !shared[A]() {
 		write = cfg.Arena.Uint32s(n)
 	}
-	switch {
-	case cfg.Faults != nil:
-		return dolpRun[A, P](g, cfg, root, read, write, newChaos(cfg))
-	case !cfg.fastInstr():
-		return dolpRun[A, P](g, cfg, root, read, write, newCounting(cfg))
-	default:
+	if cfg.fastInstr() {
 		return dolpRun[A, P](g, cfg, root, read, write, noInstr{})
 	}
+	return dolpRun[A, P](g, cfg, root, read, write, newCounting(cfg))
 }
 
 // dolpRun is the run loop of Algorithm 1. Sweeps read labels from read and
@@ -227,34 +226,37 @@ func dolpRun[A labelAccess, P program, I instr[I]](g *graph.Graph, cfg Config, r
 	if !shared[A]() {
 		parallel.Copy(pool, write, read)
 	}
-	oldFr := frontierState{bm: cfg.Arena.Bitmap(n)}
-	newFr := frontierState{bm: cfg.Arena.Bitmap(n)}
-	oldFr.bm.SetAll()
-	oldFr.activeV = int64(n)
-	oldFr.activeE = g.NumDirectedEdges()
+	// The frontier is a bitmap (dolpRule); a push drains it through cur.
+	oldBM, newBM := cfg.Arena.Bitmap(n), cfg.Arena.Bitmap(n)
+	oldBM.SetAll()
+	activeV, activeE := int64(n), g.NumDirectedEdges()
+	cur := cfg.Arena.Worklist(n, pool.Threads())
 	sch := newScheduler(g, cfg, pool)
 
 	res := Result{PhaseDurations: make(map[string]time.Duration, 2)}
 	loop := lpLoop{cfg: cfg, pool: pool, res: &res}
 	maxIters := cfg.maxIters(n)
-	for oldFr.activeV > 0 && res.Iterations < maxIters {
+	for activeV > 0 && res.Iterations < maxIters {
 		loop.begin()
 		rec := counters.IterRecord{
-			Active:      oldFr.activeV,
-			ActiveEdges: oldFr.activeE,
-			Density:     oldFr.density(g),
+			Active:      activeV,
+			ActiveEdges: activeE,
+			Density:     density(g, activeV, activeE),
 			Threshold:   threshold,
 		}
 		if rec.Density < threshold {
 			// Push traversal (lines 9-12).
 			rec.Kind = counters.KindPush
-			rec.Changed = pushSweep[A, P](g, pool, read, write, oldFr.extract(pool), newFr.bm, cfg.Stop, proto)
+			fillFrontier(pool, cur, oldBM)
+			activeV, activeE = pushSweep[A, P, dolpRule](g, pool, read, write, cur, frontier{bm: newBM}, activeV+activeE, cfg.Stop, proto)
+			cur.Reset()
 		} else {
 			// Pull traversal (lines 13-20): all vertices, ignoring frontier
 			// membership of neighbours.
 			rec.Kind = counters.KindPull
-			rec.Changed = pullSweep[A, P](g, sch, read, write, newFr.bm, cfg.Stop, proto)
+			activeV, activeE = pullSweep[A, P, dolpRule](g, sch, read, write, frontier{bm: newBM}, cfg.Stop, proto)
 		}
+		rec.Changed = activeV
 
 		if !shared[A]() {
 			// Synchronize labels arrays (lines 21-22). The sync pass streams
@@ -269,10 +271,8 @@ func dolpRun[A labelAccess, P program, I instr[I]](g *graph.Graph, cfg Config, r
 				cfg.Ctr.Add(0, counters.CacheLines, 2*int64((n+15)/16))
 			}
 		}
-		newFr.recount(pool, g)
-		oldFr, newFr = newFr, oldFr
-		newFr.bm.Reset()
-		newFr.activeV, newFr.activeE = 0, 0
+		oldBM, newBM = newBM, oldBM
+		newBM.Reset()
 
 		// Cancellation before the loop condition re-evaluates: a cancelled
 		// sweep skips partitions, and the resulting empty frontier means
@@ -293,16 +293,12 @@ func dolpRun[A labelAccess, P program, I instr[I]](g *graph.Graph, cfg Config, r
 // the semantic reference the optimized variants are validated against, and
 // the zero line for measuring what DO-LP's frontier machinery buys.
 func LP(g *graph.Graph, cfg Config) Result {
-	switch {
-	case cfg.Faults != nil:
-		return lpRun(g, cfg, newChaos(cfg))
-	case !cfg.fastInstr():
-		// Built without the line tracker: LP's counter profile has never
-		// included cache lines, and its sweep's Touch hooks stay no-ops.
-		return lpRun(g, cfg, counting{ctr: cfg.Ctr})
-	default:
+	if cfg.fastInstr() {
 		return lpRun(g, cfg, noInstr{})
 	}
+	// Built without the line tracker: LP's counter profile has never
+	// included cache lines, and its sweep's Touch hooks only tick the plan.
+	return lpRun(g, cfg, counting{ctr: cfg.Ctr, plan: cfg.Faults})
 }
 
 func lpRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
@@ -324,7 +320,7 @@ func lpRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 		// active every iteration, density is by definition 1 and there is
 		// no threshold to compare against.
 		rec := counters.IterRecord{Kind: counters.KindPull, Active: int64(n), ActiveEdges: totalE, Density: 1}
-		rec.Changed = pullSweep[splitLabels, minLabel](g, sch, oldLbs, newLbs, nil, cfg.Stop, proto)
+		rec.Changed, _ = pullSweep[splitLabels, minLabel, dolpRule](g, sch, oldLbs, newLbs, frontier{}, cfg.Stop, proto)
 		// The cancellation check must precede the convergence check: a
 		// cancelled sweep skips partitions, and its changed count of 0
 		// means "aborted", not "fixed point".
@@ -382,89 +378,238 @@ func (l *lpLoop) end(rec counters.IterRecord, labels []uint32) bool {
 	return l.cfg.cancelPoint(res, string(rec.Kind))
 }
 
-// pushSweep runs one push iteration over the sparse frontier active: each
-// active vertex propagates its label from read, carried across the edge by
-// P, to its neighbours' labels in write with atomic-min, marking lowered
-// neighbours in fr. Returns the number of newly activated vertices.
+// pushSeqCutoff is the |F.V|+|F.E| estimate below which a push iteration
+// runs on the calling thread instead of waking the pool: parking/unparking
+// the workers costs more than traversing a few thousand edges, and web-like
+// graphs spend dozens of iterations on chain frontiers this small.
+const pushSeqCutoff = 4096
+
+// Software-prefetch tuning for the thriftyRule sweeps. Go exposes no
+// portable prefetch intrinsic, so on long adjacency lists the sweeps issue
+// an early demand load of the label prefetchDist edges ahead of the scan
+// cursor and fold it into a live sink: neighbour label accesses are the
+// sweeps' cache-miss source (adjacency order is uncorrelated with label
+// layout), and issuing the load early lets the out-of-order core overlap the
+// miss with the comparisons on the intervening neighbours. prefetchDist=8
+// (two miss latencies' worth of ~4-cycle compare iterations) measured best
+// among 4/8/16 on this package's benchmarks; lists shorter than
+// prefetchMinDeg skip the peeled loop, where the extra bounds check costs
+// more than a same-cache-line "miss" would.
+const (
+	prefetchDist   = 8
+	prefetchMinDeg = 64
+)
+
+// prefetchSink receives each worker's accumulated prefetch loads so the
+// compiler cannot discard them as dead. Written once per partition/drain
+// with an atomic store (the value itself is meaningless and never read).
+var prefetchSink uint32
+
+// pushSweep runs one push iteration over the sparse frontier cur: each
+// frontier vertex propagates its label from read, carried across the edge by
+// P, to its neighbours' labels in write with atomic-min, and records lowered
+// neighbours in fr. work is the caller's |F.V|+|F.E| estimate for cur;
+// frontiers under pushSeqCutoff are drained on the calling thread. Returns
+// the new frontier's vertex count and degree sum. Frontier consumption uses
+// chunked work stealing (own list first, then other threads' lists), and a
+// racing duplicate insertion, permitted by the worklist's non-CAS marks, at
+// worst processes a vertex twice, which is harmless because labels only
+// decrease.
 //
 //thrifty:hotpath
-func pushSweep[A labelAccess, P program, I instr[I]](g *graph.Graph, pool *parallel.Pool, read, write, active []uint32, fr *bitmap.Bitmap, stop *Stop, proto I) int64 {
+func pushSweep[A labelAccess, P program, R rule, I instr[I]](g *graph.Graph, pool *parallel.Pool, read, write []uint32, cur *worklist.Set, fr frontier, work int64, stop *Stop, proto I) (int64, int64) {
+	var av, ae int64
+	if work < pushSeqCutoff {
+		pushDrain[A, P, R](g, read, write, cur, fr, stop, proto, 0, &av, &ae)
+	} else {
+		pool.MustRun(func(tid int) {
+			pushDrain[A, P, R](g, read, write, cur, fr, stop, proto, tid, &av, &ae)
+		})
+	}
+	return av, ae
+}
+
+// pushDrain is one worker's share of a push iteration: it drains cur on
+// behalf of thread tid and adds the vertex count and degree sum it recorded
+// to av and ae. It must not be inlined: Go compiles the copy of a closure
+// that inlining makes inside a generic function without folding the hook
+// gates, so an inlined sequential call would pay a real call per hook per
+// edge.
+//
+//go:noinline
+//thrifty:hotpath
+func pushDrain[A labelAccess, P program, R rule, I instr[I]](g *graph.Graph, read, write []uint32, cur *worklist.Set, fr frontier, stop *Stop, proto I, tid int, av, ae *int64) {
 	offs, adj := g.Offsets(), g.Adjacency()
-	var changed int64
-	parallel.For(pool, len(active), 512, func(tid, lo, hi int) {
-		ins := proto.Fresh()
-		if stop.Requested() {
-			return // cancellation poll at chunk entry
+	ins := proto.Fresh()
+	var localV, localE int64
+	var seen, pf uint32
+	stopped := false
+	cur.Drain(tid, func(v uint32) {
+		// Amortized cancellation poll: chain frontiers drain thousands of
+		// degree-2 vertices, where even an uncontended flag load per vertex
+		// is measurable, so the shared flag is read every 256 vertices and
+		// latched into a local. Cancellation latency stays bounded by 256
+		// adjacency scans per worker.
+		if stopped {
+			return
 		}
-		var local int64
-		for _, v := range active[lo:hi] {
-			iVisit(ins)
-			lv := across[P](loadLabel[A](read, v))
-			iLoad(ins)
-			for _, u := range adj[offs[v]:offs[v+1]] {
+		seen++
+		if seen&255 == 0 && stop.Requested() {
+			stopped = true
+			return
+		}
+		iVisit(ins)
+		lv := across[P](loadLabel[A](read, int(v)))
+		iLoad(ins)
+		nb := adj[offs[v]:offs[v+1]]
+		if zeroRule[R]() && len(nb) >= prefetchMinDeg {
+			// Long list (the initial push from the planted hub is the
+			// extreme case): touch the label prefetchDist edges ahead so its
+			// line is in flight when MinUint32 reaches it. The touch is not
+			// an algorithmic label access, so it is not charged to the
+			// instrumentation counters.
+			for i := 0; i < len(nb); i++ {
+				if i+prefetchDist < len(nb) {
+					pf ^= atomicx.LoadUint32(&write[nb[i+prefetchDist]])
+				}
+				u := nb[i]
 				iEdge(ins)
-				iLoad(ins)
 				iCAS(ins)
 				iBranch(ins)
 				iTouch(ins, u)
 				if atomicx.MinUint32(&write[u], lv) {
 					iStore(ins)
-					if fr.SetAtomic(int(u)) {
-						local++
+					if fr.ws.AddIfAbsent(tid, u) {
+						localV++
+						localE += offs[u+1] - offs[u]
 					}
 				}
 			}
+			return
 		}
-		iFlush(ins, tid)
-		atomicx.AddInt64(&changed, local)
+		for _, u := range nb {
+			iEdge(ins)
+			if !zeroRule[R]() {
+				iLoad(ins) // Algorithm 1 reads the old label per edge
+			}
+			iCAS(ins)
+			iBranch(ins)
+			iTouch(ins, u)
+			if atomicx.MinUint32(&write[u], lv) {
+				iStore(ins)
+				if zeroRule[R]() {
+					if fr.ws.AddIfAbsent(tid, u) {
+						localV++
+						localE += offs[u+1] - offs[u]
+					}
+				} else if fr.bm.SetAtomic(int(u)) {
+					localV++
+					localE += offs[u+1] - offs[u]
+				}
+			}
+		}
 	})
-	return changed
+	iFlush(ins, tid)
+	if zeroRule[R]() {
+		atomicx.StoreUint32(&prefetchSink, pf)
+	}
+	atomicx.AddInt64(av, localV)
+	atomicx.AddInt64(ae, localE)
 }
 
 // pullSweep runs one pull iteration: every vertex takes the minimum of its
 // own label and its neighbours' labels in read, carried across the edge by
-// P, into its label in write, marking changed vertices in fr when fr is
-// non-nil. Returns the number of changed vertices. Under sharedLabels a
-// neighbour read may observe a label written earlier in this same
-// iteration, which is what accelerates wavefront propagation.
+// P, into its label in write, recording changed vertices in fr. Returns the
+// changed-vertex count and degree sum, which drive the next direction
+// decision. Under sharedLabels a neighbour read may observe a label written
+// earlier in this same iteration, which is what accelerates wavefront
+// propagation; under thriftyRule converged vertices are skipped and a scan
+// stops at the first 0 (Algorithm 2 lines 22-34).
 //
 //thrifty:hotpath
-func pullSweep[A labelAccess, P program, I instr[I]](g *graph.Graph, sch *scheduler, read, write []uint32, fr *bitmap.Bitmap, stop *Stop, proto I) int64 {
+func pullSweep[A labelAccess, P program, R rule, I instr[I]](g *graph.Graph, sch *scheduler, read, write []uint32, fr frontier, stop *Stop, proto I) (int64, int64) {
 	offs, adj := g.Offsets(), g.Adjacency()
-	var changed int64
+	var av, ae int64
 	sch.sweep(func(tid, lo, hi int) {
 		ins := proto.Fresh()
 		if stop.Requested() {
 			return // cancellation poll at partition entry
 		}
-		var local int64
+		var localV, localE int64
+		var pf uint32
 		for v := lo; v < hi; v++ {
 			iVisit(ins)
-			own := loadLabel[A](read, uint32(v))
-			newLabel := own
+			own := loadLabel[A](read, v)
 			iLoad(ins)
 			iTouch(ins, uint32(v))
-			for _, u := range adj[offs[v]:offs[v+1]] {
-				iEdge(ins)
-				iLoad(ins)
+			if zeroRule[R]() {
 				iBranch(ins)
-				iTouch(ins, u)
-				if l := across[P](loadLabel[A](read, u)); l < newLabel {
-					newLabel = l
+				if own == 0 {
+					continue // Zero Convergence: v has converged (line 24)
+				}
+			}
+			newLabel := own
+			nb := adj[offs[v]:offs[v+1]]
+			if zeroRule[R]() && len(nb) >= prefetchMinDeg {
+				// Long list: touch the label prefetchDist edges ahead so its
+				// line is in flight when the comparison reaches it (see the
+				// prefetchDist comment). Not charged to the counters — the
+				// touch is not an algorithmic label access.
+				for i := 0; i < len(nb); i++ {
+					if i+prefetchDist < len(nb) {
+						pf ^= atomicx.LoadUint32(&read[nb[i+prefetchDist]])
+					}
+					u := nb[i]
+					iEdge(ins)
+					iLoad(ins)
+					iBranch(ins)
+					iTouch(ins, u)
+					if l := across[P](loadLabel[A](read, int(u))); l < newLabel {
+						newLabel = l
+						iBranch(ins)
+						if newLabel == 0 {
+							break // Zero Convergence: nothing smaller exists (line 31)
+						}
+					}
+				}
+			} else {
+				for _, u := range nb {
+					iEdge(ins)
+					iLoad(ins)
+					iBranch(ins)
+					iTouch(ins, u)
+					if l := across[P](loadLabel[A](read, int(u))); l < newLabel {
+						newLabel = l
+						if zeroRule[R]() {
+							iBranch(ins)
+							if newLabel == 0 {
+								break // Zero Convergence: nothing smaller exists (line 31)
+							}
+						}
+					}
 				}
 			}
 			iBranch(ins)
 			if newLabel < own {
-				storeLabel[A](write, uint32(v), newLabel)
+				storeLabel[A](write, v, newLabel)
 				iStore(ins)
-				if fr != nil {
-					fr.SetAtomic(v) // chunks share words at their edges
+				localV++
+				localE += offs[v+1] - offs[v]
+				if zeroRule[R]() {
+					if fr.ws != nil {
+						fr.ws.Add(tid, uint32(v))
+					}
+				} else if fr.bm != nil {
+					fr.bm.SetAtomic(v) // chunks share words at their edges
 				}
-				local++
 			}
 		}
+		if zeroRule[R]() {
+			atomicx.StoreUint32(&prefetchSink, pf)
+		}
 		iFlush(ins, tid)
-		atomicx.AddInt64(&changed, local)
+		atomicx.AddInt64(&av, localV)
+		atomicx.AddInt64(&ae, localE)
 	})
-	return changed
+	return av, ae
 }

@@ -16,6 +16,7 @@ import (
 	"thriftylp/internal/bitmap"
 	"thriftylp/internal/counters"
 	"thriftylp/internal/parallel"
+	"thriftylp/internal/worklist"
 )
 
 // TestDOLPStartsDense: Algorithm 1 initializes the frontier to all
@@ -75,35 +76,50 @@ func TestDOLPThresholdRespected(t *testing.T) {
 	}
 }
 
-// TestFrontierStateCountsAndExtract exercises the dense-frontier helper.
-func TestFrontierStateCountsAndExtract(t *testing.T) {
+// TestFrontierCountsAndFill exercises the dense-frontier plumbing: a
+// dolpRule pull returns the changed-vertex count and degree sum and marks
+// exactly those vertices, fillFrontier turns the marks into an ascending
+// one-thread worklist, and a push from it returns its own counts.
+func TestFrontierCountsAndFill(t *testing.T) {
 	g := mustGraph(gen.Star(64))
-	pool := parallel.Default()
-	f := frontierState{bm: bitmap.New(g.NumVertices())}
-	f.bm.Set(0)
-	f.bm.Set(5)
-	f.bm.Set(63)
-	f.recount(pool, g)
-	if f.activeV != 3 {
-		t.Fatalf("activeV = %d", f.activeV)
+	n := g.NumVertices()
+	pool := parallel.NewPool(1)
+	defer pool.Close()
+	sch := newScheduler(g, Config{}, pool)
+
+	// Hub 0 holds 1 and leaves 5 and 63 hold 2, every other leaf 0: one pull
+	// lowers exactly 0, 5 and 63 to a neighbour's smaller label.
+	read := make([]uint32, n)
+	read[0], read[5], read[63] = 1, 2, 2
+	write := slices.Clone(read)
+	bm := bitmap.New(n)
+	v, e := pullSweep[splitLabels, minLabel, dolpRule](g, sch, read, write, frontier{bm: bm}, nil, noInstr{})
+	if v != 3 || bm.Count() != 3 {
+		t.Fatalf("pull changed %d vertices, marked %d; want 3", v, bm.Count())
 	}
 	// Vertex 0 is the hub with degree 63; 5 and 63 are leaves of degree 1.
-	if f.activeE != 65 {
-		t.Fatalf("activeE = %d", f.activeE)
+	if e != 65 {
+		t.Fatalf("pull degree sum = %d, want 65", e)
 	}
-	got := f.extract(pool)
-	if len(got) != 3 {
-		t.Fatalf("extract returned %v", got)
-	}
-	seen := map[uint32]bool{}
-	for _, v := range got {
-		seen[v] = true
-	}
-	if !seen[0] || !seen[5] || !seen[63] {
-		t.Fatalf("extract contents wrong: %v", got)
-	}
-	if d := f.density(g); d <= 0 {
+	if d := density(g, v, e); d <= 0 {
 		t.Fatalf("density = %v", d)
+	}
+
+	ws := worklist.New(n, 1)
+	fillFrontier(pool, ws, bm)
+	var got []uint32
+	ws.ForEach(func(v uint32) { got = append(got, v) })
+	if !slices.Equal(got, []uint32{0, 5, 63}) {
+		t.Fatalf("fillFrontier listed %v, want [0 5 63]", got)
+	}
+
+	// After the pull the hub holds 0 and leaves 5 and 63 hold 1: pushing
+	// from {0, 5, 63} lowers exactly those two leaves, degree 1 each.
+	copy(read, write)
+	next := bitmap.New(n)
+	v, e = pushSweep[splitLabels, minLabel, dolpRule](g, pool, read, write, ws, frontier{bm: next}, v+e, nil, noInstr{})
+	if v != 2 || e != 2 || next.Count() != 2 || !next.Get(5) || !next.Get(63) {
+		t.Fatalf("push returned %d vertices, degree sum %d, marked %d; want 2, 2, {5, 63}", v, e, next.Count())
 	}
 }
 
@@ -319,6 +335,30 @@ func TestPropagationEmptyGraph(t *testing.T) {
 	for name, run := range runs {
 		if res := run(); len(res.Labels) != 0 || res.Iterations != 0 {
 			t.Errorf("%s: %d labels, %d iterations on the empty graph", name, len(res.Labels), res.Iterations)
+		}
+	}
+}
+
+// TestEdgelessFrontierHasNoEdges: on a graph with vertices but no edges,
+// every traced iteration of Thrifty (with and without the initial push) and
+// DO-LP reports no active edges and density 0.
+func TestEdgelessFrontierHasNoEdges(t *testing.T) {
+	g := mustGraph(gen.Empty(5))
+	for name, run := range map[string]func(Config) Result{
+		"thrifty":                 func(cfg Config) Result { return Thrifty(g, cfg) },
+		"thrifty-no-initial-push": func(cfg Config) Result { cfg.NoInitialPush = true; return Thrifty(g, cfg) },
+		"dolp":                    func(cfg Config) Result { return DOLP(g, cfg) },
+	} {
+		tr := &counters.Trace{}
+		res := run(Config{Trace: tr})
+		if len(tr.Iters) == 0 || len(res.Labels) != 5 {
+			t.Fatalf("%s: %d records, %d labels", name, len(tr.Iters), len(res.Labels))
+		}
+		for _, r := range tr.Iters {
+			if r.ActiveEdges != 0 || r.Density != 0 {
+				t.Errorf("%s iteration %d (%s): ActiveEdges %d, Density %v; want 0, 0",
+					name, r.Index, r.Kind, r.ActiveEdges, r.Density)
+			}
 		}
 	}
 }

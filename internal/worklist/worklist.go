@@ -13,7 +13,10 @@
 // insertion, but the program stays data-race-free.
 package worklist
 
-import "thriftylp/internal/atomicx"
+import (
+	"thriftylp/internal/atomicx"
+	"thriftylp/internal/bitmap"
+)
 
 // stealChunk is the number of vertices a consumer claims from a list per
 // cursor bump. Chunking amortizes the atomic fetch-add and keeps stolen work
@@ -83,6 +86,14 @@ func (s *Set) AddIfAbsent(tid int, v uint32) bool {
 func (s *Set) AddUnchecked(tid int, v uint32) {
 	atomicx.StoreUint32(&s.marked[v], 1)
 	s.lists[tid] = append(s.lists[tid], v)
+}
+
+// AppendRange appends the set bits of bm in [lo, hi) to thread tid's list
+// in ascending order, without marking them: it loads a dense frontier for
+// draining, not one that later Adds deduplicate against. Reset still
+// empties the Set (unmarking an unmarked vertex is a no-op).
+func (s *Set) AppendRange(tid int, bm *bitmap.Bitmap, lo, hi int) {
+	s.lists[tid] = bm.AppendRange(s.lists[tid], lo, hi)
 }
 
 // Contains reports whether v is marked present.
