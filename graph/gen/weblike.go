@@ -51,6 +51,9 @@ func Web(cfg WebConfig) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.NumChains > 0 && len(coreEdges) == 0 {
+		return nil, fmt.Errorf("gen: web graph core has no edges to anchor %d chains (core edge factor %d)", cfg.NumChains, cfg.CoreEdgeFactor)
+	}
 	coreN := 1 << cfg.CoreScale
 	n := coreN + cfg.NumChains*cfg.ChainLength
 	if n > 1<<31 {
