@@ -113,9 +113,9 @@ func TestBuildStrategiesMatchReference(t *testing.T) {
 }
 
 // TestBuildUndirectedLegacyEquivalence checks the public entry point: the
-// default (histogram/serial) pipeline and the legacy atomic-cursor strategy
-// BuildUndirected falls back to produce identical graphs once adjacency
-// order is canonicalized.
+// default (histogram/serial) pipeline with its sorting transpose and the
+// legacy atomic-cursor strategy with each list comparison-sorted produce
+// identical graphs.
 func TestBuildUndirectedLegacyEquivalence(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
@@ -129,8 +129,10 @@ func TestBuildUndirectedLegacyEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		off, adj := buildCSRAtomic(edges, g1.NumVertices(), false, pool)
+		for v := 0; v+1 < len(off); v++ {
+			slices.Sort(adj[off[v]:off[v+1]])
+		}
 		g2 := &Graph{offsets: off, adj: adj}
-		sortAdjacency(g2, pool)
 		g2.computeMaxDegree(pool)
 		if !slices.Equal(g1.Offsets(), g2.Offsets()) || !slices.Equal(g1.Adjacency(), g2.Adjacency()) {
 			t.Fatalf("trial %d: default and legacy builds disagree", trial)
@@ -141,6 +143,40 @@ func TestBuildUndirectedLegacyEquivalence(t *testing.T) {
 		}
 		if err := g1.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// TestSortedTransposeMatchesSort checks the counting-sort transpose against
+// a comparison sort (and, with dedup, a sort then a drop of repeats) on
+// random multigraphs with self-loops, for 1 to 4 source parts: every part
+// count must give the reference layout.
+func TestSortedTransposeMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(400)
+		edges := randomEdges(rng, n, rng.Intn(3000))
+		off, adj := referenceCSR(edges, n, trial%2 == 0)
+		wantAdj := slices.Clone(adj)
+		wantDedupOff := make([]int64, n+1)
+		var wantDedupAdj []uint32
+		for v := 0; v < n; v++ {
+			l := wantAdj[off[v]:off[v+1]]
+			slices.Sort(l)
+			wantDedupAdj = append(wantDedupAdj, slices.Compact(slices.Clone(l))...)
+			wantDedupOff[v+1] = int64(len(wantDedupAdj))
+		}
+		for parts := 1; parts <= 4; parts++ {
+			pool := parallel.NewPool(parts)
+			gotOff, gotAdj := sortedTranspose(off, adj, false, pool, parts)
+			if !slices.Equal(gotOff, off) || !slices.Equal(gotAdj, wantAdj) {
+				t.Fatalf("trial %d, %d parts: sorted layout differs from comparison sort", trial, parts)
+			}
+			gotOff, gotAdj = sortedTranspose(off, adj, true, pool, parts)
+			if !slices.Equal(gotOff, wantDedupOff) || !slices.Equal(gotAdj, wantDedupAdj) {
+				t.Fatalf("trial %d, %d parts: dedup layout differs from sort then compact", trial, parts)
+			}
+			pool.Close()
 		}
 	}
 }
