@@ -15,6 +15,25 @@ func BenchmarkRMATEdges(b *testing.B) {
 	b.ReportMetric(float64((1<<16)*16)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
 }
 
+// BenchmarkRMATStream replays every chunk of the RMAT-16 stream on one
+// goroutine: the per-thread rate of each replay shard.StreamWrite makes.
+func BenchmarkRMATStream(b *testing.B) {
+	s, err := NewRMATStream(DefaultRMAT(16, 16, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sink uint32
+	for i := 0; i < b.N; i++ {
+		for ci := 0; ci < s.Chunks(); ci++ {
+			s.Chunk(ci, func(u, v uint32) { sink += u ^ v })
+		}
+	}
+	b.ReportMetric(float64(s.Edges())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
+	streamSink = sink
+}
+
+var streamSink uint32
+
 func BenchmarkRMATBuild(b *testing.B) {
 	cfg := DefaultRMAT(15, 16, 2)
 	b.ResetTimer()
