@@ -42,10 +42,10 @@ func WithoutSelfLoops() BuildOption {
 	return func(c *buildConfig) { c.dropLoops = true }
 }
 
-// WithSortedAdjacency sorts each vertex's neighbour list ascending. A
-// sorted list is unique, so the layout does not depend on the build
-// strategy or thread count. The lists are sorted by a counting-sort
-// transpose of the built CSR, which needs a second adjacency array.
+// WithSortedAdjacency sorts each vertex's neighbour list ascending instead
+// of leaving it in edge order. Either layout is the same for every thread
+// count. The lists are sorted by a counting-sort transpose of the built CSR,
+// which needs a second adjacency array.
 func WithSortedAdjacency() BuildOption {
 	return func(c *buildConfig) { c.sortAdj = true }
 }
@@ -56,31 +56,27 @@ func WithBuildPool(p *parallel.Pool) BuildOption {
 	return func(c *buildConfig) { c.pool = p }
 }
 
-// parallelBuildCutoff is the edge count below which the sequential counting
-// sort wins over any parallel strategy (fork/join overhead dominates).
+// parallelBuildCutoff is the edge (or slot) count below which a counting
+// sort runs as one part on the calling goroutine: fork/join overhead would
+// dominate any split.
 const parallelBuildCutoff = 1 << 15
 
 // BuildUndirected constructs a CSR graph from an edge list. Each edge {U,V}
 // with U≠V occupies two adjacency slots (U→V and V→U); a self-loop occupies
 // one.
 //
-// Construction is parallel and atomic-free on the hot path: each worker
-// counts degrees of a contiguous edge shard into a private histogram, the
-// histograms are merged per vertex range into exclusive per-thread write
-// cursors, the offsets array is produced by a parallel blocked prefix sum,
-// and each worker scatters its own shard through its private cursors. The
-// resulting adjacency layout is deterministic — identical to a sequential
-// counting sort of the edge list — regardless of thread count. When the
-// histograms would not pay for themselves, construction falls back: tiny
-// inputs and single-thread pools take a sequential counting sort, and
-// pathological vertex-to-edge ratios take the legacy atomic-cursor strategy,
-// which needs no per-thread histograms and so is the memory-frugal choice.
+// Construction is one counting sort (see countingSort) over contiguous edge
+// shards, one per part: each part counts its shard's degrees into a private
+// histogram, the histograms become exclusive absolute write cursors, and
+// each part scatters its own shard through them, with no atomics. Part t's
+// slots in any list follow those of parts < t, in edge order, so the layout
+// is that of a sequential counting sort for every part count and thread
+// count. countParts picks one part below parallelBuildCutoff and otherwise
+// up to one per thread, fewer when the histograms would dwarf the edges.
 //
 // With WithSortedAdjacency or WithDedup, the built CSR is then transposed
-// into sorted lists (see sortedTranspose): a counting sort, not a
-// comparison sort, parallel over per-thread histograms exactly when the
-// build was, and sequential otherwise. The sorted layout is unique, so it
-// is the same for every strategy and thread count.
+// into sorted lists (see sortedTranspose) by the same counting sort with
+// the same part count; no comparison sort runs.
 func BuildUndirected(edges []Edge, opts ...BuildOption) (*Graph, error) {
 	var cfg buildConfig
 	for _, o := range opts {
@@ -96,18 +92,8 @@ func BuildUndirected(edges []Edge, opts ...BuildOption) (*Graph, error) {
 		return nil, err
 	}
 
-	var offsets []int64
-	var adj []uint32
-	parts := 1 // source ranges of the sorting transpose, one per thread when the histograms fit
-	switch {
-	case pool.Threads() == 1 || len(edges) < parallelBuildCutoff:
-		offsets, adj = buildCSRSerial(edges, n, cfg.dropLoops)
-	case !histogramFits(pool.Threads(), n, len(edges)):
-		offsets, adj = buildCSRAtomic(edges, n, cfg.dropLoops, pool)
-	default:
-		offsets, adj = buildCSRHistogram(edges, n, cfg.dropLoops, pool)
-		parts = pool.Threads()
-	}
+	parts := countParts(pool.Threads(), n, len(edges))
+	offsets, adj := buildCSR(pool, edges, n, parts, cfg.dropLoops)
 	if cfg.sortAdj {
 		offsets, adj = sortedTranspose(offsets, adj, cfg.dedup, pool, parts)
 	}
@@ -159,169 +145,121 @@ func resolveVertexCount(edges []Edge, cfg *buildConfig, pool *parallel.Pool) (in
 	return n, nil
 }
 
-// histogramFits reports whether the per-thread histogram strategy is safe
-// and worthwhile: per-vertex cursors must fit int32 (guaranteed when the
-// total directed slot count stays below 2^31), and threads×n histogram
-// memory must stay within a small multiple of the edge array itself.
-func histogramFits(threads, n, m int) bool {
-	if int64(m) >= 1<<30 {
-		return false
-	}
-	return int64(threads)*int64(n) <= 8*int64(m)+(1<<20)
-}
-
-// buildCSRSerial is a plain sequential counting sort — the layout reference
-// for the deterministic parallel strategy, and the fastest path for small
-// inputs.
-func buildCSRSerial(edges []Edge, n int, dropLoops bool) ([]int64, []uint32) {
-	offsets := make([]int64, n+1)
-	for _, e := range edges {
-		if e.U == e.V {
-			if !dropLoops {
-				offsets[e.U+1]++
-			}
-			continue
-		}
-		offsets[e.U+1]++
-		offsets[e.V+1]++
-	}
-	for v := 1; v <= n; v++ {
-		offsets[v] += offsets[v-1]
-	}
-	adj := make([]uint32, offsets[n])
-	cursor := make([]int64, n)
-	copy(cursor, offsets[:n])
-	for _, e := range edges {
-		if e.U == e.V {
-			if !dropLoops {
-				adj[cursor[e.U]] = e.V
-				cursor[e.U]++
-			}
-			continue
-		}
-		adj[cursor[e.U]] = e.V
-		cursor[e.U]++
-		adj[cursor[e.V]] = e.U
-		cursor[e.V]++
-	}
-	return offsets, adj
-}
-
-// buildCSRHistogram is the atomic-free parallel strategy. Edge shards are
-// static and contiguous, so thread t's writes into any vertex's slot list
-// come after all writes from threads < t and preserve shard-internal edge
-// order — the layout is bit-identical to buildCSRSerial.
-func buildCSRHistogram(edges []Edge, n int, dropLoops bool, pool *parallel.Pool) ([]int64, []uint32) {
-	threads := pool.Threads()
-	parts := parallel.PartitionVertices(len(edges), threads)
-	hist := make([][]int32, threads)
-
-	// Pass 1: private degree histograms, one contiguous edge shard each.
-	pool.MustRun(func(tid int) {
-		h := make([]int32, n)
-		for _, e := range edges[parts[tid].Lo:parts[tid].Hi] {
+// buildCSR counting-sorts the edges into a CSR over parts contiguous edge
+// shards: the layout of a sequential counting sort, for any part count.
+func buildCSR(pool *parallel.Pool, edges []Edge, n, parts int, dropLoops bool) ([]int64, []uint32) {
+	m := len(edges)
+	return countingSort(pool, n, parts, func(t int, h []int64, out []uint32) {
+		for _, e := range edges[m*t/parts : m*(t+1)/parts] {
 			if e.U == e.V {
 				if !dropLoops {
+					if out != nil {
+						out[h[e.U]] = e.V //thrifty:benign-race private per-part cursors make each slot exclusively owned
+					}
 					h[e.U]++
 				}
 				continue
 			}
+			if out != nil {
+				out[h[e.U]] = e.V //thrifty:benign-race private per-part cursors make each slot exclusively owned
+				out[h[e.V]] = e.U //thrifty:benign-race private per-part cursors make each slot exclusively owned
+			}
 			h[e.U]++
 			h[e.V]++
 		}
-		hist[tid] = h //thrifty:benign-race per-thread histogram slot indexed by tid
 	})
-
-	// Merge by vertex range: hist[t][v] becomes thread t's exclusive write
-	// cursor within v's slot list, offsets[v+1] the total degree.
-	offsets := make([]int64, n+1)
-	parallel.For(pool, n, 1<<14, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			var run int32
-			for t := 0; t < threads; t++ {
-				c := hist[t][v]
-				hist[t][v] = run //thrifty:benign-race workers own disjoint vertex ranges of every hist row
-				run += c
-			}
-			offsets[v+1] = int64(run) //thrifty:benign-race workers own disjoint vertex ranges of offsets
-		}
-	})
-	parallel.PrefixSum(pool, offsets)
-
-	// Pass 2: scatter through private cursors — no atomics, no sharing.
-	adj := make([]uint32, offsets[n])
-	pool.MustRun(func(tid int) {
-		h := hist[tid]
-		for _, e := range edges[parts[tid].Lo:parts[tid].Hi] {
-			if e.U == e.V {
-				if !dropLoops {
-					adj[offsets[e.U]+int64(h[e.U])] = e.V //thrifty:benign-race private per-thread cursors make each adj slot exclusively owned
-					h[e.U]++
-				}
-				continue
-			}
-			adj[offsets[e.U]+int64(h[e.U])] = e.V //thrifty:benign-race private per-thread cursors make each adj slot exclusively owned
-			h[e.U]++
-			adj[offsets[e.V]+int64(h[e.V])] = e.U //thrifty:benign-race private per-thread cursors make each adj slot exclusively owned
-			h[e.V]++
-		}
-	})
-	return offsets, adj
 }
 
-// buildCSRAtomic is the original strategy: degrees counted with atomic adds
-// and slots filled through per-vertex atomic cursors. Slot order within a
-// vertex is scheduling-dependent; memory overhead is one int64 cursor per
-// vertex regardless of thread count.
-func buildCSRAtomic(edges []Edge, n int, dropLoops bool, pool *parallel.Pool) ([]int64, []uint32) {
-	deg := make([]int64, n+1) // deg[v+1] accumulates v's slot count
-	parallel.For(pool, len(edges), 1<<16, func(_, lo, hi int) {
-		for _, e := range edges[lo:hi] {
-			if e.U == e.V {
-				if !dropLoops {
-					atomicx.AddInt64(&deg[e.U+1], 1)
+// countParts returns how many parts a counting sort of m items into n lists
+// runs on a pool of the given size: one below parallelBuildCutoff, else one
+// per thread, capped so that the parts' histograms (parts×n entries) stay
+// within 8m + 2^20, a small multiple of the input itself.
+func countParts(threads, n, m int) int {
+	if m < parallelBuildCutoff {
+		return 1
+	}
+	if n > 0 {
+		threads = min(threads, (8*m+1<<20)/n)
+	}
+	return max(threads, 1)
+}
+
+// histograms runs count(t, h) for every part t in [0, parts), each into a
+// fresh private n-entry histogram h, and returns them. One part runs on the
+// calling goroutine; more are spread over the pool.
+func histograms(pool *parallel.Pool, n, parts int, count func(t int, h []int64)) [][]int64 {
+	hist := make([][]int64, parts)
+	parallel.For(pool, parts, 1, func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			h := make([]int64, n)
+			count(t, h)
+			hist[t] = h //thrifty:benign-race per-part slot indexed by t
+		}
+	})
+	return hist
+}
+
+// countingSort is the one CSR counting sort. pass(t, h, out) walks part t's
+// items in order and, for each item bound for list w, writes it at out[h[w]]
+// when out is non-nil, then advances h[w]. The first run, with out nil,
+// counts into a private histogram per part. The merge is a blocked scan
+// over the lists: a first pass sums the counts of every block but the last,
+// then each block, from the sum of the blocks before it, writes the offsets
+// and turns part t's count for w into its absolute cursor, the position
+// after w's slots of parts < t. The second run scatters. Part t's
+// slots in every list thus follow those of parts < t, in the order pass
+// visits them, whatever the part count. Transient memory is 8 bytes ×
+// parts × n.
+func countingSort(pool *parallel.Pool, n, parts int, pass func(t int, h []int64, out []uint32)) ([]int64, []uint32) {
+	hist := histograms(pool, n, parts, func(t int, h []int64) { pass(t, h, nil) })
+
+	blocks := parallel.PartitionVertices(n, min(pool.Threads(), n>>14+1))
+	base := make([]int64, len(blocks)) // base[b] is the slot count of lists before block b
+	parallel.For(pool, len(blocks)-1, 1, func(_, lo, hi int) {
+		for b := lo; b < hi; b++ {
+			var sum int64
+			for _, h := range hist {
+				for _, c := range h[blocks[b].Lo:blocks[b].Hi] {
+					sum += c
 				}
-				continue
 			}
-			atomicx.AddInt64(&deg[e.U+1], 1)
-			atomicx.AddInt64(&deg[e.V+1], 1)
+			base[b+1] = sum //thrifty:benign-race workers own disjoint block slots of base
+		}
+	})
+	for b := 1; b < len(base); b++ {
+		base[b] += base[b-1]
+	}
+	offsets := make([]int64, n+1)
+	parallel.For(pool, len(blocks), 1, func(_, lo, hi int) {
+		for b := lo; b < hi; b++ {
+			run := base[b]
+			for w := blocks[b].Lo; w < blocks[b].Hi; w++ {
+				for _, h := range hist {
+					c := h[w]
+					h[w] = run //thrifty:benign-race workers own disjoint vertex blocks of every hist row
+					run += c
+				}
+				offsets[w+1] = run //thrifty:benign-race workers own disjoint vertex blocks of offsets
+			}
 		}
 	})
 
-	offsets := deg
-	parallel.PrefixSum(pool, offsets)
-	adj := make([]uint32, offsets[n])
-
-	cursor := make([]int64, n)
-	parallel.For(pool, n, 1<<16, func(_, lo, hi int) {
-		copy(cursor[lo:hi], offsets[lo:hi])
-	})
-	parallel.For(pool, len(edges), 1<<16, func(_, lo, hi int) {
-		for _, e := range edges[lo:hi] {
-			if e.U == e.V {
-				if !dropLoops {
-					adj[atomicx.AddInt64(&cursor[e.U], 1)-1] = e.V //thrifty:benign-race slot index claimed by atomic fetch-add, so the write is exclusive
-				}
-				continue
-			}
-			adj[atomicx.AddInt64(&cursor[e.U], 1)-1] = e.V //thrifty:benign-race slot index claimed by atomic fetch-add, so the write is exclusive
-			adj[atomicx.AddInt64(&cursor[e.V], 1)-1] = e.U //thrifty:benign-race slot index claimed by atomic fetch-add, so the write is exclusive
+	out := make([]uint32, offsets[n])
+	parallel.For(pool, parts, 1, func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			pass(t, hist[t], out)
 		}
 	})
-	return offsets, adj
+	return offsets, out
 }
 
 // sortedTranspose returns the CSR (offsets, adj) with every adjacency list
-// sorted ascending and, with dedup, free of duplicates. It is a counting
-// sort, not a comparison sort: each slot (u, w) scatters u into w's list,
-// and because sources are visited in ascending order, every list fills in
-// ascending order. The CSR is symmetric, so w's transposed list holds the
-// same multiset as its own list, and without dedup the offsets are
-// unchanged. Sources are split into parts slot-balanced contiguous ranges,
-// each with a private histogram, the way buildCSRHistogram splits edges:
-// part t's writes into any list follow those of parts < t, so the layout
-// is the same for any part count. parts is 1 or pool.Threads(); with one
-// part the source passes run sequentially on the calling goroutine.
+// sorted ascending and, with dedup, free of duplicates. It is countingSort
+// over sources: each slot (u, w) scatters u into w's list, and because
+// sources are visited in ascending order, every list fills in ascending
+// order. The CSR is symmetric, so w's transposed list holds the same
+// multiset as its own list. Sources are split into parts slot-balanced
+// contiguous ranges, and the layout is the same for any part count.
 //
 // Dedup needs no extra adjacency array: within a part, the copies of a
 // duplicate slot (u, w) all arrive at list w while u is the source, so a
@@ -330,84 +268,31 @@ func buildCSRAtomic(edges []Edge, n int, dropLoops bool, pool *parallel.Pool) ([
 func sortedTranspose(offsets []int64, adj []uint32, dedup bool, pool *parallel.Pool, parts int) ([]int64, []uint32) {
 	n := len(offsets) - 1
 	ranges := parallel.PartitionEdges(offsets, parts)
-	run := func(job func(t int)) {
-		if parts == 1 {
-			job(0)
-			return
-		}
-		pool.MustRun(job)
-	}
-	// int64: the cursors become absolute slot positions in the sorted array.
-	hist := make([][]int64, parts)
 	last := make([][]uint32, parts) // with dedup, last[t][w] is 1 + the source part t last sent to list w
-
-	// Pass 1: per-part counts of the slots each list receives.
-	run(func(t int) {
-		h := make([]int64, n)
+	return countingSort(pool, n, parts, func(t int, h []int64, out []uint32) {
 		if dedup {
-			last[t] = make([]uint32, n) //thrifty:benign-race per-part slot indexed by t
-		}
-		transposeRange(offsets, adj, ranges[t], last[t], h, nil)
-		hist[t] = h //thrifty:benign-race per-part slot indexed by t
-	})
-
-	// Merge by vertex range: hist[t][w] becomes part t's exclusive write
-	// cursor within w's list; with dedup the totals are the new degrees.
-	newOff := offsets
-	if dedup {
-		newOff = make([]int64, n+1)
-	}
-	parallel.For(pool, n, 1<<14, func(_, lo, hi int) {
-		for w := lo; w < hi; w++ {
-			var sum int64
-			for t := range hist {
-				c := hist[t][w]
-				hist[t][w] = sum //thrifty:benign-race workers own disjoint vertex ranges of every hist row
-				sum += c
-			}
-			if dedup {
-				newOff[w+1] = sum //thrifty:benign-race workers own disjoint vertex ranges of newOff
+			if out == nil {
+				last[t] = make([]uint32, n) //thrifty:benign-race per-part slot indexed by t
+			} else {
+				clear(last[t])
 			}
 		}
-	})
-	if dedup {
-		parallel.PrefixSum(pool, newOff)
-	}
-
-	// Pass 2: scatter through private cursors — no atomics, no sharing.
-	// Each part first makes its cursors absolute, a sequential pass that
-	// spares the scatter a random read of newOff per slot.
-	sorted := make([]uint32, newOff[n])
-	run(func(t int) {
-		h := hist[t]
-		for w := range h {
-			h[w] += newOff[w]
-		}
-		clear(last[t])
-		transposeRange(offsets, adj, ranges[t], last[t], h, sorted)
-	})
-	return newOff, sorted
-}
-
-// transposeRange is one pass of sortedTranspose over the sources in r.
-// Each slot (u, w) advances list w's cursor h[w]; with out non-nil, u is
-// first written at out[h[w]]. With seen non-nil, a source already sent to
-// w is skipped.
-func transposeRange(offsets []int64, adj []uint32, r parallel.Range, seen []uint32, h []int64, out []uint32) {
-	for u := r.Lo; u < r.Hi; u++ {
-		for _, w := range adj[offsets[u]:offsets[u+1]] {
-			if seen != nil {
-				if seen[w] == u+1 {
-					continue
+		seen := last[t]
+		for u := ranges[t].Lo; u < ranges[t].Hi; u++ {
+			for _, w := range adj[offsets[u]:offsets[u+1]] {
+				if seen != nil {
+					if seen[w] == u+1 {
+						continue
+					}
+					seen[w] = u + 1
 				}
-				seen[w] = u + 1
+				if out != nil {
+					out[h[w]] = u //thrifty:benign-race private per-part cursors make each slot exclusively owned
+				}
+				h[w]++
 			}
-			if out != nil {
-				out[h[w]] = u //thrifty:benign-race private per-part cursors make each slot exclusively owned
-			}
-			h[w]++
 		}
-	}
+	})
 }
 
 // RemoveIsolated returns a copy of g with zero-degree vertices removed and
@@ -516,44 +401,23 @@ func firstViolation(pool *parallel.Pool, n int, bad func(i int) bool) int {
 
 // inDegreeHistogram counts, for each vertex, how many adjacency slots
 // reference it (the in-degree). All ids in adj must be < n (callers check
-// with validateStructure first). Counting is contention-free — per-thread
-// int32 histograms over contiguous slot shards, merged per vertex, the same
-// strategy as buildCSRHistogram — with the atomic fallback for inputs where
-// the histograms would not pay for themselves.
+// with validateStructure first). It is countingSort's counting run over
+// contiguous slot shards, the per-part histograms then summed per vertex.
 func inDegreeHistogram(pool *parallel.Pool, adj []uint32, n int) []int64 {
-	threads := pool.Threads()
-	counts := make([]int64, n)
-	if threads == 1 || len(adj) < parallelBuildCutoff {
-		for _, u := range adj {
-			counts[u]++
-		}
-		return counts
-	}
-	if !histogramFits(threads, n, len(adj)) {
-		parallel.For(pool, len(adj), 1<<16, func(_, lo, hi int) {
-			for _, u := range adj[lo:hi] {
-				atomicx.AddInt64(&counts[u], 1)
-			}
-		})
-		return counts
-	}
-	parts := parallel.PartitionVertices(len(adj), threads)
-	hist := make([][]int32, threads)
-	pool.MustRun(func(tid int) {
-		h := make([]int32, n)
-		for _, u := range adj[parts[tid].Lo:parts[tid].Hi] {
+	m := len(adj)
+	parts := countParts(pool.Threads(), n, m)
+	hist := histograms(pool, n, parts, func(t int, h []int64) {
+		for _, u := range adj[m*t/parts : m*(t+1)/parts] {
 			h[u]++
 		}
-		hist[tid] = h //thrifty:benign-race per-thread histogram slot indexed by tid
 	})
-	parallel.For(pool, n, 1<<14, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			var s int64
-			for t := 0; t < threads; t++ {
-				s += int64(hist[t][v])
+	counts := hist[0]
+	for _, h := range hist[1:] {
+		parallel.For(pool, n, 1<<14, func(_, lo, hi int) {
+			for v := lo; v < hi; v++ {
+				counts[v] += h[v] //thrifty:benign-race workers own disjoint vertex ranges of counts
 			}
-			counts[v] = s //thrifty:benign-race workers own disjoint vertex ranges of counts
-		}
-	})
+		})
+	}
 	return counts
 }

@@ -10,7 +10,7 @@ import (
 
 // referenceCSR is a deliberately naive sequential builder used as the
 // property-test oracle: count degrees, prefix-sum, scatter in edge order.
-// It mirrors what buildCSRSerial does but shares no code with it.
+// It shares no code with countingSort.
 func referenceCSR(edges []Edge, n int, dropLoops bool) ([]int64, []uint32) {
 	deg := make([]int64, n)
 	for _, e := range edges {
@@ -64,12 +64,11 @@ func randomEdges(rng *rand.Rand, n, m int) []Edge {
 	return edges
 }
 
-// TestBuildStrategiesMatchReference cross-checks all three construction
-// strategies against the naive oracle over random inputs: the serial and
-// histogram strategies must reproduce the oracle's layout bit-for-bit
-// (deterministic scatter order), and the atomic strategy must agree after
-// per-vertex sorting (its slot order is scheduling-dependent).
-func TestBuildStrategiesMatchReference(t *testing.T) {
+// TestBuildCSRPartsMatchReference checks the counting-sort build against the
+// naive oracle over random multigraphs, with and without self-loops, for 1
+// to 4 edge shards on a 4-thread pool: every part count must reproduce the
+// oracle's layout bit for bit.
+func TestBuildCSRPartsMatchReference(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(99))
@@ -81,69 +80,77 @@ func TestBuildStrategiesMatchReference(t *testing.T) {
 		dropLoops := trial%2 == 0
 
 		wantOff, wantAdj := referenceCSR(edges, n, dropLoops)
-
-		serOff, serAdj := buildCSRSerial(edges, n, dropLoops)
-		if !slices.Equal(serOff, wantOff) || !slices.Equal(serAdj, wantAdj) {
-			t.Fatalf("trial %d: serial layout differs from reference", trial)
-		}
-
-		histOff, histAdj := buildCSRHistogram(edges, n, dropLoops, pool)
-		if !slices.Equal(histOff, wantOff) {
-			t.Fatalf("trial %d: histogram offsets differ from reference", trial)
-		}
-		if !slices.Equal(histAdj, wantAdj) {
-			t.Fatalf("trial %d: histogram adjacency not bit-identical to sequential reference", trial)
-		}
-
-		atomOff, atomAdj := buildCSRAtomic(edges, n, dropLoops, pool)
-		if !slices.Equal(atomOff, wantOff) {
-			t.Fatalf("trial %d: atomic offsets differ from reference", trial)
-		}
-		sortPerVertex := func(off []int64, adj []uint32) []uint32 {
-			s := slices.Clone(adj)
-			for v := 0; v < n; v++ {
-				slices.Sort(s[off[v]:off[v+1]])
+		for parts := 1; parts <= 4; parts++ {
+			off, adj := buildCSR(pool, edges, n, parts, dropLoops)
+			if !slices.Equal(off, wantOff) || !slices.Equal(adj, wantAdj) {
+				t.Fatalf("trial %d, %d parts: layout differs from reference", trial, parts)
 			}
-			return s
-		}
-		if !slices.Equal(sortPerVertex(atomOff, atomAdj), sortPerVertex(wantOff, wantAdj)) {
-			t.Fatalf("trial %d: atomic adjacency differs from reference as a multiset", trial)
 		}
 	}
 }
 
-// TestBuildUndirectedLegacyEquivalence checks the public entry point: the
-// default (histogram/serial) pipeline with its sorting transpose and the
-// legacy atomic-cursor strategy with each list comparison-sorted produce
-// identical graphs.
-func TestBuildUndirectedLegacyEquivalence(t *testing.T) {
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(300)
-		edges := randomEdges(rng, n, 100+rng.Intn(2000))
+// TestBuildUndirectedMatchesReference checks the public entry point above
+// parallelBuildCutoff, where the build and the sorting transpose split into
+// one part per thread, on 1-, 2- and 4-thread pools: edge-order lists equal
+// the oracle's, sorted lists equal the oracle's sorted per list, dedup
+// equals sort then compact, and every build repeats exactly, keeps the
+// smallest vertex of largest degree as its hub, and validates.
+func TestBuildUndirectedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	n := 5000
+	edges := randomEdges(rng, n, parallelBuildCutoff+5000)
 
-		g1, err := BuildUndirected(edges, WithSortedAdjacency(), WithBuildPool(pool))
-		if err != nil {
-			t.Fatal(err)
+	refOff, refAdj := referenceCSR(edges, n, false)
+	noLoopOff, noLoopAdj := referenceCSR(edges, n, true)
+	sortedAdj := slices.Clone(refAdj)
+	dedupOff := make([]int64, n+1)
+	var dedupAdj []uint32
+	for v := 0; v < n; v++ {
+		l := sortedAdj[refOff[v]:refOff[v+1]]
+		slices.Sort(l)
+		dedupAdj = append(dedupAdj, slices.Compact(slices.Clone(l))...)
+		dedupOff[v+1] = int64(len(dedupAdj))
+	}
+	cases := []struct {
+		name string
+		opts []BuildOption
+		off  []int64
+		adj  []uint32
+	}{
+		{"none", nil, refOff, refAdj},
+		{"noloops", []BuildOption{WithoutSelfLoops()}, noLoopOff, noLoopAdj},
+		{"sorted", []BuildOption{WithSortedAdjacency()}, refOff, sortedAdj},
+		{"dedup", []BuildOption{WithDedup()}, dedupOff, dedupAdj},
+	}
+	for _, threads := range []int{1, 2, 4} {
+		if parts := countParts(threads, n, len(edges)); parts != threads {
+			t.Fatalf("%d threads: countParts = %d, want one part per thread", threads, parts)
 		}
-		off, adj := buildCSRAtomic(edges, g1.NumVertices(), false, pool)
-		for v := 0; v+1 < len(off); v++ {
-			slices.Sort(adj[off[v]:off[v+1]])
+		pool := parallel.NewPool(threads)
+		for _, c := range cases {
+			var hub uint32
+			for v := range uint32(n) {
+				if c.off[v+1]-c.off[v] > c.off[hub+1]-c.off[hub] {
+					hub = v
+				}
+			}
+			for rep := 0; rep < 2; rep++ {
+				g, err := BuildUndirected(edges, append([]BuildOption{WithNumVertices(n), WithBuildPool(pool)}, c.opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(g.Offsets(), c.off) || !slices.Equal(g.Adjacency(), c.adj) {
+					t.Fatalf("%s, %d threads, rep %d: layout differs from reference", c.name, threads, rep)
+				}
+				if g.MaxDegreeVertex() != hub {
+					t.Fatalf("%s, %d threads: max-degree vertex %d, want %d", c.name, threads, g.MaxDegreeVertex(), hub)
+				}
+				if err := g.Validate(); err != nil {
+					t.Fatalf("%s, %d threads: %v", c.name, threads, err)
+				}
+			}
 		}
-		g2 := &Graph{offsets: off, adj: adj}
-		g2.computeMaxDegree(pool)
-		if !slices.Equal(g1.Offsets(), g2.Offsets()) || !slices.Equal(g1.Adjacency(), g2.Adjacency()) {
-			t.Fatalf("trial %d: default and legacy builds disagree", trial)
-		}
-		if g1.MaxDegreeVertex() != g2.MaxDegreeVertex() {
-			t.Fatalf("trial %d: max-degree vertex differs: %d vs %d",
-				trial, g1.MaxDegreeVertex(), g2.MaxDegreeVertex())
-		}
-		if err := g1.Validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		pool.Close()
 	}
 }
 
@@ -181,34 +188,27 @@ func TestSortedTransposeMatchesSort(t *testing.T) {
 	}
 }
 
-// TestBuildHistogramLargeDeterminism forces the histogram path past the
-// parallel cutoff and checks determinism across repeated parallel builds
-// and against the serial layout.
-func TestBuildHistogramLargeDeterminism(t *testing.T) {
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	rng := rand.New(rand.NewSource(3))
-	n := 5000
-	edges := randomEdges(rng, n, parallelBuildCutoff+5000)
-
-	wantOff, wantAdj := buildCSRSerial(edges, n, false)
-	for rep := 0; rep < 3; rep++ {
-		off, adj := buildCSRHistogram(edges, n, false, pool)
-		if !slices.Equal(off, wantOff) || !slices.Equal(adj, wantAdj) {
-			t.Fatalf("rep %d: parallel histogram layout differs from serial", rep)
+// TestCountParts pins the part count of a counting sort: one part below
+// parallelBuildCutoff whatever the pool, one per thread above it, and
+// fewer when parts×n histogram entries would exceed 8m + 2^20.
+func TestCountParts(t *testing.T) {
+	const m = parallelBuildCutoff
+	for _, c := range []struct {
+		threads, n, m, want int
+	}{
+		{4, 1000, m - 1, 1},          // below the cutoff
+		{4, 1000, m, 4},              // at the cutoff: one part per thread
+		{1, 1000, 100000, 1},         // one thread
+		{2, 1000, 100000, 2},         // thread cap
+		{4, 0, m, 4},                 // no vertices, no histogram memory
+		{4, 8*m + 1<<20, m, 1},       // memory cap: one histogram fits
+		{4, (8*m + 1<<20) / 2, m, 2}, // memory cap: two fit
+		{4, 1 << 28, m, 1},           // memory cap: not even one fits
+		{8, 1 << 22, 1 << 18, 1},     // n ≫ m, as in BenchmarkBuildUndirected/sparse
+	} {
+		if got := countParts(c.threads, c.n, c.m); got != c.want {
+			t.Errorf("countParts(%d, %d, %d) = %d, want %d", c.threads, c.n, c.m, got, c.want)
 		}
-	}
-}
-
-func TestHistogramFits(t *testing.T) {
-	if !histogramFits(4, 1000, 100000) {
-		t.Errorf("dense small graph should fit")
-	}
-	if histogramFits(4, 1<<28, 100) {
-		t.Errorf("histograms 4x of a huge vertex set over 100 edges should not fit")
-	}
-	if histogramFits(2, 10, 1<<30) {
-		t.Errorf("edge counts at the int32 cursor limit should not fit")
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"thriftylp/graph"
@@ -31,33 +30,24 @@ func edgesDigest(edges []graph.Edge) uint64 {
 }
 
 // csrDigest renders a graph as its size, max-degree vertex (hub) and the
-// FNV-64a digests of Offsets and Adjacency. With canonical set, each
-// adjacency list is sorted before hashing: the atomic-cursor build fills
-// unsorted lists in a scheduling-dependent order, so only their contents
-// can be pinned.
-func csrDigest(g *graph.Graph, canonical bool) string {
-	adj := g.Adjacency()
-	if canonical {
-		off := g.Offsets()
-		adj = slices.Clone(adj)
-		for v := 0; v < g.NumVertices(); v++ {
-			slices.Sort(adj[off[v]:off[v+1]])
-		}
-	}
+// FNV-64a digests of Offsets and Adjacency, each list hashed in the order
+// the build left it.
+func csrDigest(g *graph.Graph) string {
 	var hub uint32
 	if g.NumVertices() > 0 {
 		hub = g.MaxDegreeVertex()
 	}
 	return fmt.Sprintf("n=%d slots=%d hub=%d off=%016x adj=%016x", g.NumVertices(), g.NumDirectedEdges(), hub,
 		fnvOf(func(h hash.Hash64) { binary.Write(h, binary.LittleEndian, g.Offsets()) }),
-		fnvOf(func(h hash.Hash64) { binary.Write(h, binary.LittleEndian, adj) }))
+		fnvOf(func(h hash.Hash64) { binary.Write(h, binary.LittleEndian, g.Adjacency()) }))
 }
 
 // renderDigests generates every pinned input and renders one line per case:
 // raw RMAT edge lists over scale, seed, noise, permutation and edge factor;
 // every RMATStream chunk; each generator family's built graph; and
-// BuildUndirected under each option on 1-, 2- and 4-thread pools through
-// the serial, histogram and atomic strategies.
+// BuildUndirected under each option on 1-, 2- and 4-thread pools, below
+// the parallel cutoff, above it, and above it with histograms too large for
+// more than one part.
 func renderDigests(t *testing.T) []byte {
 	var b bytes.Buffer
 	b.WriteString("# case: raw edges as fnv64a, or n, slot count, max-degree vertex (hub) and fnv64a of Offsets and Adjacency\n")
@@ -129,13 +119,15 @@ func renderDigests(t *testing.T) []byte {
 		if err != nil {
 			t.Fatalf("%s: %v", gc.name, err)
 		}
-		fmt.Fprintf(&b, "%s %s\n", gc.name, csrDigest(g, false))
+		fmt.Fprintf(&b, "%s %s\n", gc.name, csrDigest(g))
 	}
 
-	// Build inputs: below the parallel cutoff (serial at any thread
-	// count), above it (histogram on 2 and 4 threads), and above it with a
-	// vertex count far beyond the edge count (atomic on 2 and 4 threads).
-	// RMAT's raw edges carry both duplicates and self-loops.
+	// Build inputs: below the parallel cutoff (one part at any thread
+	// count), above it (one part per thread), and above it with a vertex
+	// count far beyond the edge count (one part, the histogram memory cap).
+	// RMAT's raw edges carry both duplicates and self-loops. No layout
+	// depends on the thread count, so every row hashes its lists in build
+	// order (canonical=false).
 	small, err := RMATEdges(DefaultRMAT(8, 4, 11))
 	if err != nil {
 		t.Fatal(err)
@@ -145,24 +137,22 @@ func renderDigests(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	inputs := []struct {
-		name   string
-		edges  []graph.Edge
-		n      int
-		atomic bool
+		name  string
+		edges []graph.Edge
+		n     int
 	}{
-		{"small", small, 1 << 8, false},
-		{"large", large, 1 << 12, false},
-		{"sparse", large[:1<<15], 1 << 20, true},
+		{"small", small, 1 << 8},
+		{"large", large, 1 << 12},
+		{"sparse", large[:1<<15], 1 << 20},
 	}
 	opts := []struct {
-		name   string
-		opt    []graph.BuildOption
-		sorted bool
+		name string
+		opt  []graph.BuildOption
 	}{
-		{"none", nil, false},
-		{"sorted", []graph.BuildOption{graph.WithSortedAdjacency()}, true},
-		{"dedup", []graph.BuildOption{graph.WithDedup()}, true},
-		{"noloops", []graph.BuildOption{graph.WithoutSelfLoops()}, false},
+		{"none", nil},
+		{"sorted", []graph.BuildOption{graph.WithSortedAdjacency()}},
+		{"dedup", []graph.BuildOption{graph.WithDedup()}},
+		{"noloops", []graph.BuildOption{graph.WithoutSelfLoops()}},
 	}
 	for _, threads := range []int{1, 2, 4} {
 		pool := parallel.NewPool(threads)
@@ -172,8 +162,7 @@ func renderDigests(t *testing.T) []byte {
 				if err != nil {
 					t.Fatalf("build %s/%s/%d: %v", in.name, o.name, threads, err)
 				}
-				canonical := in.atomic && threads > 1 && !o.sorted
-				fmt.Fprintf(&b, "build %s %s threads=%d canonical=%t %s\n", in.name, o.name, threads, canonical, csrDigest(g, canonical))
+				fmt.Fprintf(&b, "build %s %s threads=%d canonical=false %s\n", in.name, o.name, threads, csrDigest(g))
 			}
 		}
 		pool.Close()

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -185,6 +186,24 @@ func TestFromCSRRejectsCorrupt(t *testing.T) {
 	// Asymmetric adjacency (0→1 without 1→0).
 	if _, err := FromCSR([]int64{0, 1, 1}, []uint32{1}); err == nil {
 		t.Fatal("asymmetric CSR accepted")
+	}
+	// Asymmetric adjacency above parallelBuildCutoff slots, so the in-degree
+	// count splits into one part per thread: a cycle whose slot 0→1 is
+	// redirected to 0→2 leaves vertex 1 one in-slot short.
+	const n = parallelBuildCutoff
+	cycle := make([]Edge, n)
+	for v := range cycle {
+		cycle[v] = Edge{U: uint32(v), V: uint32((v + 1) % n)}
+	}
+	c := mustBuild(t, cycle)
+	adj := slices.Clone(c.Adjacency())
+	if adj[0] != 1 {
+		t.Fatalf("vertex 0's first slot is %d, want 1", adj[0])
+	}
+	adj[0] = 2
+	_, err := FromCSR(c.Offsets(), adj)
+	if want := "graph: vertex 1 has out-degree 2 but in-degree 1 (asymmetric CSR)"; err == nil || err.Error() != want {
+		t.Fatalf("large asymmetric CSR: got error %v, want %q", err, want)
 	}
 	// Valid round trip.
 	g := mustBuild(t, []Edge{{0, 1}})

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"thriftylp/graph"
 	"thriftylp/internal/atomicx"
@@ -153,7 +153,7 @@ func StreamWrite(src EdgeStream, dir string, shards int) (*Manifest, *StreamStat
 		parallel.For(pool, hi-lo, 1<<10, func(_, vlo, vhi int) {
 			for v := vlo; v < vhi; v++ {
 				row := adj[local[v]:local[v+1]]
-				sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
+				slices.Sort(row)
 			}
 		})
 		sl := &graph.CSRSlice{GlobalVertices: n, Lo: p.Lo, Hi: p.Hi, Offsets: local, Adj: adj}
