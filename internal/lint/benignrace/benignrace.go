@@ -99,9 +99,7 @@ func checkWorkerWrites(pass *analysis.Pass, f *ast.File) {
 			if !ok {
 				continue
 			}
-			if obj := pass.TypesInfo.Defs[id]; obj != nil {
-				funcLitOf[obj] = fl
-			} else if obj := pass.TypesInfo.Uses[id]; obj != nil {
+			if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
 				funcLitOf[obj] = fl
 			}
 		}
@@ -195,11 +193,7 @@ func (w *workerChecker) checkWrite(pos token.Pos, lhs ast.Expr) {
 	if root == nil {
 		return
 	}
-	obj := w.pass.TypesInfo.Uses[root]
-	if obj == nil {
-		obj = w.pass.TypesInfo.Defs[root]
-	}
-	v, ok := obj.(*types.Var)
+	v, ok := w.pass.TypesInfo.ObjectOf(root).(*types.Var)
 	if !ok {
 		return
 	}

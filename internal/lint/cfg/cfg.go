@@ -20,6 +20,11 @@
 //
 // The builder is purely syntactic: it needs no type information, so it also
 // works on fixtures and on files that fail to type-check.
+//
+// Forward solves a forward dataflow problem over the graph. An analyzer
+// supplies the lattice (entry state, join, height) and a per-block
+// transfer; Forward owns the worklist and the visit cap that makes every
+// fixpoint terminate.
 package cfg
 
 import (

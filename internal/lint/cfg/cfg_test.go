@@ -1,9 +1,11 @@
 package cfg
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"strings"
 	"testing"
 )
@@ -315,4 +317,111 @@ func TestConditionIsLastNode(t *testing.T) {
 		}
 	}
 	t.Fatal("no conditional block found")
+}
+
+// defs is the state of a reaching-definitions problem: the assignments,
+// rendered as source, that may reach a point.
+type defs map[string]bool
+
+// unionDefs is the reaching-definitions join.
+func unionDefs(dst, src defs) (defs, bool) {
+	out := defs{}
+	for d := range dst {
+		out[d] = true
+	}
+	for d := range src {
+		out[d] = true
+	}
+	return out, len(out) > len(dst)
+}
+
+// reachingDefs returns the reaching-definitions transfer: an assignment
+// kills every earlier one (the test bodies assign one variable).
+func reachingDefs(fset *token.FileSet) func(*Block, defs) []defs {
+	return func(b *Block, in defs) []defs {
+		for _, n := range b.Nodes {
+			if as, ok := n.(*ast.AssignStmt); ok {
+				in = defs{formatNode(fset, as): true}
+			}
+		}
+		outs := make([]defs, len(b.Succs))
+		for i := range outs {
+			outs[i] = in
+		}
+		return outs
+	}
+}
+
+// blockOfKind returns the graph's first block of the given kind.
+func blockOfKind(t *testing.T, c *CFG, kind string) *Block {
+	t.Helper()
+	for _, b := range c.Blocks {
+		if b.Kind == kind {
+			return b
+		}
+	}
+	t.Fatalf("no %s block", kind)
+	return nil
+}
+
+// TestForwardPanicsPastBudget checks that a join that never stops growing
+// trips the (height+1)·|blocks| visit cap instead of spinning, and that the
+// panic names the problem and the budget.
+func TestForwardPanicsPastBudget(t *testing.T) {
+	c, _ := build(t, "for {\n\twork()\n}")
+	budget := 3 * len(c.Blocks)
+	defer func() {
+		p := recover()
+		want := fmt.Sprintf("spin test exceeded %d block visits", budget)
+		if p != want {
+			t.Fatalf("panic %v, want %q", p, want)
+		}
+	}()
+	Forward(c, "spin test", 2, 0,
+		func(dst, src int) (int, bool) { return dst + 1, true },
+		func(b *Block, in int) []int { return make([]int, len(b.Succs)) })
+	t.Fatal("Forward returned from a join that always grows")
+}
+
+// TestForwardVisitsInfeasibleEdgeOnce checks the first-reach rule: a block
+// reached only along an edge whose out-state is empty is still visited,
+// exactly once, and recorded with the empty state.
+func TestForwardVisitsInfeasibleEdgeOnce(t *testing.T) {
+	c, fset := build(t, "if c() {\n\tx = 1\n}\nuse()")
+	visits := map[*Block]int{}
+	transfer := reachingDefs(fset)
+	in := Forward(c, "infeasible", 1, defs{"param": true}, unionDefs,
+		func(b *Block, state defs) []defs {
+			visits[b]++
+			outs := transfer(b, state)
+			if len(outs) == 2 {
+				outs[0] = defs{} // the true edge is infeasible
+			}
+			return outs
+		})
+	then := blockOfKind(t, c, "if.then")
+	if visits[then] != 1 {
+		t.Errorf("if.then visited %d times, want 1", visits[then])
+	}
+	if got, ok := in[then]; !ok || len(got) != 0 {
+		t.Errorf("if.then in-state %v (recorded %v), want recorded and empty", got, ok)
+	}
+	want := defs{"param": true, "x = 1": true}
+	if got := in[c.Exit]; !maps.Equal(got, want) {
+		t.Errorf("exit in-state %v, want %v", got, want)
+	}
+}
+
+// TestForwardLoopConverges checks that a loop reaches its fixpoint and that
+// the loop exit holds the join of the path that skips the body and the path
+// through it.
+func TestForwardLoopConverges(t *testing.T) {
+	c, fset := build(t, "x := 0\nfor c() {\n\tx = 1\n}\nuse(x)")
+	in := Forward(c, "loop", 1, defs{}, unionDefs, reachingDefs(fset))
+	want := defs{"x := 0": true, "x = 1": true}
+	for _, kind := range []string{"for.loop", "for.body", "for.done"} {
+		if got := in[blockOfKind(t, c, kind)]; !maps.Equal(got, want) {
+			t.Errorf("%s in-state %v, want %v", kind, got, want)
+		}
+	}
 }

@@ -1,6 +1,6 @@
 // Package lintutil holds the small helpers shared by the thriftyvet
-// analyzers: scope gating (skip GOROOT and test files) and call-site
-// resolution on top of go/types.
+// analyzers: scope gating (skip GOROOT and test files), the walk over
+// function bodies, and call-site resolution on top of go/types.
 package lintutil
 
 import (
@@ -9,6 +9,8 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+
+	"thriftylp/internal/lint/analysis"
 )
 
 // InGOROOT reports whether the file's source lives under GOROOT. When the
@@ -26,6 +28,33 @@ func InGOROOT(fset *token.FileSet, f *ast.File) bool {
 // under the race detector instead.
 func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
+}
+
+// ForEachBody calls visit on every function body in the package's
+// non-GOROOT, non-test files, in source order: each declared function's
+// body with its *types.Func, then each function literal inside it with a
+// nil one (a literal gets its own control-flow graph; the enclosing body
+// sees it as an opaque value).
+func ForEachBody(pass *analysis.Pass, visit func(fn *types.Func, body *ast.BlockStmt)) {
+	for _, f := range pass.Files {
+		if InGOROOT(pass.Fset, f) || IsTestFile(pass.Fset, f.Package) {
+			continue
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			visit(fn, fd.Body)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if fl, ok := n.(*ast.FuncLit); ok {
+					visit(nil, fl.Body)
+				}
+				return true
+			})
+		}
+	}
 }
 
 // PkgPathMatches reports whether path is importPath itself or an
@@ -82,6 +111,22 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
+}
+
+// MayReturn returns the CFG builder's call-termination oracle: a call
+// to os.Exit, runtime.Goexit or log.Fatal* never returns to its caller.
+func MayReturn(info *types.Info) func(*ast.CallExpr) bool {
+	return func(call *ast.CallExpr) bool {
+		fn := CalleeFunc(info, call)
+		if fn == nil {
+			return true
+		}
+		switch FuncPkgPath(fn) + "." + fn.Name() {
+		case "os.Exit", "runtime.Goexit", "log.Fatal", "log.Fatalf", "log.Fatalln":
+			return false
+		}
+		return true
+	}
 }
 
 // FuncPkgPath returns the import path of the package a function belongs to,

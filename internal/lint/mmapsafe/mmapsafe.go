@@ -15,7 +15,8 @@
 // much a constructor as `graph.LoadCSRSlice`.
 //
 // The check is a forward may-closed dataflow over the internal/lint/cfg
-// block graph, run per function body and per mapped variable:
+// block graph, run per function body and per mapped variable and solved by
+// cfg.Forward, whose cap for this two-bit state is 2·|blocks| block visits:
 //
 //   - after a path through `v.Close()`, any use of v — a method call, a
 //     field read, passing v along — is reported. Mapped, MappedBytes and
@@ -75,24 +76,7 @@ func run(pass *analysis.Pass) (any, error) {
 	c.seedTypes()
 	c.seedCtors()
 
-	for _, f := range pass.Files {
-		if lintutil.InGOROOT(pass.Fset, f) || lintutil.IsTestFile(pass.Fset, f.Package) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			c.checkBody(fd.Body)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if fl, ok := n.(*ast.FuncLit); ok {
-					c.checkBody(fl.Body)
-				}
-				return true
-			})
-		}
-	}
+	lintutil.ForEachBody(pass, func(_ *types.Func, body *ast.BlockStmt) { c.checkBody(body) })
 	return nil, nil
 }
 
@@ -267,22 +251,10 @@ func (c *checker) checkBody(body *ast.BlockStmt) {
 	if len(vars) == 0 {
 		return
 	}
-	graph := cfg.New(body, c.mayReturn)
+	graph := cfg.New(body, lintutil.MayReturn(c.pass.TypesInfo))
 	for _, tv := range vars {
 		c.analyzeVar(graph, tv)
 	}
-}
-
-func (c *checker) mayReturn(call *ast.CallExpr) bool {
-	fn := lintutil.CalleeFunc(c.pass.TypesInfo, call)
-	if fn == nil {
-		return true
-	}
-	switch lintutil.FuncPkgPath(fn) + "." + fn.Name() {
-	case "os.Exit", "runtime.Goexit", "log.Fatal", "log.Fatalf", "log.Fatalln":
-		return false
-	}
-	return true
 }
 
 // collectVars finds the body's mapped-pointer variables and their derived
@@ -308,14 +280,8 @@ func (c *checker) collectVars(body *ast.BlockStmt) []*tracked {
 		}
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if obj := c.pass.TypesInfo.Defs[id]; obj != nil {
-			add(id, obj)
-		} else if obj := c.pass.TypesInfo.Uses[id]; obj != nil {
-			add(id, obj)
+		if id, ok := n.(*ast.Ident); ok {
+			add(id, c.pass.TypesInfo.ObjectOf(id))
 		}
 		return true
 	})
@@ -334,10 +300,7 @@ func (c *checker) collectVars(body *ast.BlockStmt) []*tracked {
 		if !ok || lhs.Name == "_" {
 			return true
 		}
-		lobj := c.pass.TypesInfo.Defs[lhs]
-		if lobj == nil {
-			lobj = c.pass.TypesInfo.Uses[lhs]
-		}
+		lobj := c.pass.TypesInfo.ObjectOf(lhs)
 		if lobj == nil {
 			return true
 		}
@@ -377,51 +340,37 @@ func (c *checker) baseOf(e ast.Expr, byObj map[types.Object]*tracked) *tracked {
 	return nil
 }
 
+// The per-variable state is the set of ways the variable can be reached:
+// open, closed, or both.
+const (
+	open   uint8 = 1 << 0
+	closed uint8 = 1 << 1
+)
+
 // analyzeVar runs the two-bit (open-reachable, closed-reachable) forward
 // fixpoint for one variable and reports uses on closed-reachable nodes.
 func (c *checker) analyzeVar(graph *cfg.CFG, tv *tracked) {
-	const (
-		open   = 1 << 0
-		closed = 1 << 1
-	)
-	in := map[*cfg.Block]uint8{}
-	in[graph.Entry] = open
-	work := []*cfg.Block{graph.Entry}
-	inWork := map[*cfg.Block]bool{graph.Entry: true}
 	reported := map[token.Pos]bool{}
+	what := fmt.Sprintf("mmapsafe: fixpoint for %s at %s", tv.name, c.pass.Fset.Position(tv.obj.Pos()))
 
-	// A block is queued only when its two-bit state grows, which it can do
-	// at most twice: a fixpoint takes at most 2·|blocks| visits. Going past
-	// that means the state is no longer a monotone union — fail loudly
-	// rather than spin.
-	budget := 2 * len(graph.Blocks)
-	for visits := 0; len(work) > 0; visits++ {
-		if visits == budget {
-			panic(fmt.Sprintf("mmapsafe: fixpoint for %s at %s exceeded %d block visits",
-				tv.name, c.pass.Fset.Position(tv.obj.Pos()), budget))
-		}
-		blk := work[0]
-		work = work[1:]
-		inWork[blk] = false
-
-		state := in[blk]
-		for _, n := range blk.Nodes {
-			state = c.applyNode(n, state, tv, reported, open, closed)
-		}
-		for _, succ := range blk.Succs {
-			if in[succ]|state != in[succ] {
-				in[succ] |= state
-				if !inWork[succ] {
-					work = append(work, succ)
-					inWork[succ] = true
-				}
+	// Every reached block's state is non-empty, so it can grow at most
+	// once after its first record.
+	cfg.Forward(graph, what, 1, open,
+		func(dst, src uint8) (uint8, bool) { return dst | src, dst|src != dst },
+		func(blk *cfg.Block, state uint8) []uint8 {
+			for _, n := range blk.Nodes {
+				state = c.applyNode(n, state, tv, reported)
 			}
-		}
-	}
+			outs := make([]uint8, len(blk.Succs))
+			for i := range outs {
+				outs[i] = state
+			}
+			return outs
+		})
 }
 
 // applyNode reports closed-state uses inside n and returns the out-state.
-func (c *checker) applyNode(n ast.Node, state uint8, tv *tracked, reported map[token.Pos]bool, open, closed uint8) uint8 {
+func (c *checker) applyNode(n ast.Node, state uint8, tv *tracked, reported map[token.Pos]bool) uint8 {
 	closes := false
 	lhsWrite := map[*ast.Ident]bool{}
 	ast.Inspect(n, func(m ast.Node) bool {
@@ -455,7 +404,7 @@ func (c *checker) applyNode(n ast.Node, state uint8, tv *tracked, reported map[t
 					continue
 				}
 				lhsWrite[id] = true
-				if c.objOf(id) == tv.obj {
+				if c.pass.TypesInfo.ObjectOf(id) == tv.obj {
 					state = open
 				}
 			}
@@ -467,7 +416,7 @@ func (c *checker) applyNode(n ast.Node, state uint8, tv *tracked, reported map[t
 				}
 			}
 		case *ast.Ident:
-			obj := c.objOf(m)
+			obj := c.pass.TypesInfo.ObjectOf(m)
 			if obj == nil {
 				return true
 			}
@@ -498,7 +447,7 @@ func (c *checker) isCloseCall(call *ast.CallExpr, tv *tracked) bool {
 		return false
 	}
 	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	return ok && c.objOf(id) == tv.obj
+	return ok && c.pass.TypesInfo.ObjectOf(id) == tv.obj
 }
 
 // isHeaderCall reports whether call is v.M() for a header-only method.
@@ -508,25 +457,18 @@ func (c *checker) isHeaderCall(call *ast.CallExpr, tv *tracked) bool {
 		return false
 	}
 	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	return ok && c.objOf(id) == tv.obj
+	return ok && c.pass.TypesInfo.ObjectOf(id) == tv.obj
 }
 
 // isVarVsNil reports whether e compares the tracked variable against nil.
 func (c *checker) isVarVsNil(e *ast.BinaryExpr, tv *tracked) bool {
 	isV := func(x ast.Expr) bool {
 		id, ok := ast.Unparen(x).(*ast.Ident)
-		return ok && c.objOf(id) == tv.obj
+		return ok && c.pass.TypesInfo.ObjectOf(id) == tv.obj
 	}
 	isNil := func(x ast.Expr) bool {
 		id, ok := ast.Unparen(x).(*ast.Ident)
 		return ok && id.Name == "nil"
 	}
 	return (isV(e.X) && isNil(e.Y)) || (isNil(e.X) && isV(e.Y))
-}
-
-func (c *checker) objOf(id *ast.Ident) types.Object {
-	if o := c.pass.TypesInfo.Uses[id]; o != nil {
-		return o
-	}
-	return c.pass.TypesInfo.Defs[id]
 }

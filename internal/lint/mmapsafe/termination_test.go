@@ -44,10 +44,10 @@ var mmapsafeAtoms = []string{
 }
 
 // TestFixpointTerminates runs the analyzer over random bodies with nested
-// loops, labeled jumps, redundant conditions and early returns. The
-// per-variable fixpoint panics when it exceeds 2·|blocks| block visits, so
-// a run that returns on every body is the fixpoint terminating within its
-// bound.
+// loops, labeled jumps, redundant conditions and early returns.
+// cfg.Forward panics when the per-variable fixpoint exceeds its 2·|blocks|
+// block visits, so a run that returns on every body is the fixpoint
+// terminating within its bound.
 func TestFixpointTerminates(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {

@@ -4,10 +4,12 @@
 // reach exactly one Release on every control-flow path.
 //
 // The check is a forward dataflow analysis over the internal/lint/cfg block
-// graph. Per acquire site it tracks a small abstract state — held,
-// released, deferred-release count, nilness — through every path,
-// refining nilness along `v == nil` branches and treating a `defer
-// v.Release()` as a release on all exits (including panics). It reports:
+// graph, solved by cfg.Forward. Per acquire site it tracks a set of small
+// abstract states — held, released, deferred-release count, nilness —
+// through every path, refining nilness along `v == nil` branches and
+// treating a `defer v.Release()` as a release on all exits (including
+// panics). The set has at most maxTuples members, so cfg.Forward caps the
+// fixpoint at (maxTuples+1)·|blocks| block visits. It reports:
 //
 //   - a leak: a path reaches function exit holding an unreleased,
 //     non-deferred, possibly-valid reference;
@@ -89,27 +91,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 
-	for _, f := range pass.Files {
-		if lintutil.InGOROOT(pass.Fset, f) || lintutil.IsTestFile(pass.Fset, f.Package) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			c.checkBody(fn, fd.Body)
-			// Function literals get their own control-flow graphs; the
-			// enclosing body's analysis treats them as opaque values.
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if fl, ok := n.(*ast.FuncLit); ok {
-					c.checkBody(nil, fl.Body)
-				}
-				return true
-			})
-		}
-	}
+	lintutil.ForEachBody(pass, c.checkBody)
 	return nil, nil
 }
 
@@ -251,28 +233,15 @@ type site struct {
 // the declared function, nil for literals; it receives an AcquiresFact
 // when the body returns an acquired reference.
 func (c *checker) checkBody(enclosing *types.Func, body *ast.BlockStmt) {
-	graph := cfg.New(body, c.mayReturn)
-	parents := buildParents(body)
+	graph := cfg.New(body, lintutil.MayReturn(c.pass.TypesInfo))
 	sites := c.findSites(graph)
 	if len(sites) == 0 {
 		return
 	}
+	parents := buildParents(body)
 	for _, s := range sites {
 		c.analyzeSite(enclosing, graph, parents, s)
 	}
-}
-
-// mayReturn is the CFG builder's call-termination oracle.
-func (c *checker) mayReturn(call *ast.CallExpr) bool {
-	fn := lintutil.CalleeFunc(c.pass.TypesInfo, call)
-	if fn == nil {
-		return true
-	}
-	switch lintutil.FuncPkgPath(fn) + "." + fn.Name() {
-	case "os.Exit", "runtime.Goexit", "log.Fatal", "log.Fatalf", "log.Fatalln":
-		return false
-	}
-	return true
 }
 
 // buildParents maps every node in the body to its syntactic parent.
@@ -327,10 +296,7 @@ func (c *checker) findSites(graph *cfg.CFG) []*site {
 					c.pass.Reportf(n.Pos(), "result of %s is dropped: the acquired reference can never be released", fn.Name())
 					continue
 				}
-				obj := c.pass.TypesInfo.Defs[id]
-				if obj == nil {
-					obj = c.pass.TypesInfo.Uses[id]
-				}
+				obj := c.pass.TypesInfo.ObjectOf(id)
 				if obj == nil {
 					continue
 				}
@@ -387,49 +353,18 @@ func (c *checker) findSites(graph *cfg.CFG) []*site {
 // analyzeSite runs the per-site forward fixpoint and reports.
 func (c *checker) analyzeSite(enclosing *types.Func, graph *cfg.CFG, parents map[ast.Node]ast.Node, s *site) {
 	rep := &reporter{pass: c.pass, emitted: map[string]bool{}}
-
-	in := map[*cfg.Block]tupleSet{}
-	in[graph.Entry] = tupleSet{tuple{nilness: nilMaybe}: true}
-	work := []*cfg.Block{graph.Entry}
-	inWork := map[*cfg.Block]bool{graph.Entry: true}
 	returned := false
-
-	// A block is queued on its first visit and afterwards only when its
-	// state grows, which a state of at most maxTuples tuples can do at most
-	// maxTuples times: a fixpoint takes at most (maxTuples+1)·|blocks|
-	// visits. Going past that means the lattice is broken — fail loudly
-	// rather than spin.
-	budget := (maxTuples + 1) * len(graph.Blocks)
-	for visits := 0; len(work) > 0; visits++ {
-		if visits == budget {
-			fn := "function literal"
-			if enclosing != nil {
-				fn = enclosing.FullName()
-			}
-			panic(fmt.Sprintf("reflease: fixpoint for %s (%s at %s) exceeded %d block visits",
-				fn, s.name, c.pass.Fset.Position(s.pos), budget))
-		}
-		blk := work[0]
-		work = work[1:]
-		inWork[blk] = false
-
-		outs := c.transfer(blk, in[blk], parents, s, rep, &returned)
-		for i, succ := range blk.Succs {
-			merged, changed := union(in[succ], outs[i])
-			if merged == nil {
-				// First reached along an infeasible edge: record the visit
-				// with an empty state, or every later pass re-queues it.
-				merged, changed = tupleSet{}, true
-			}
-			if changed {
-				in[succ] = merged
-				if !inWork[succ] {
-					work = append(work, succ)
-					inWork[succ] = true
-				}
-			}
-		}
+	fn := "function literal"
+	if enclosing != nil {
+		fn = enclosing.FullName()
 	}
+	what := fmt.Sprintf("reflease: fixpoint for %s (%s at %s)", fn, s.name, c.pass.Fset.Position(s.pos))
+
+	// A tuple set can grow at most maxTuples times after its first record.
+	in := cfg.Forward(graph, what, maxTuples, tupleSet{tuple{nilness: nilMaybe}: true}, union,
+		func(blk *cfg.Block, state tupleSet) []tupleSet {
+			return c.transfer(blk, state, parents, s, rep, &returned)
+		})
 
 	// Leak check at the one place every return and fall-off path meets.
 	for t := range in[graph.Exit] {
@@ -515,7 +450,7 @@ func (c *checker) refine(cond ast.Node, cur tupleSet, s *site) (outT, outF tuple
 			return nil, nil, false
 		}
 		id, isIdent := ast.Unparen(idExpr).(*ast.Ident)
-		if !isIdent || c.objOf(id) != s.obj {
+		if !isIdent || c.pass.TypesInfo.ObjectOf(id) != s.obj {
 			return nil, nil, false
 		}
 		eqNil := e.Op == token.EQL
@@ -560,13 +495,6 @@ func (c *checker) refine(cond ast.Node, cur tupleSet, s *site) (outT, outF tuple
 func isNilIdent(e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && id.Name == "nil"
-}
-
-func (c *checker) objOf(id *ast.Ident) types.Object {
-	if o := c.pass.TypesInfo.Uses[id]; o != nil {
-		return o
-	}
-	return c.pass.TypesInfo.Defs[id]
 }
 
 // apply is the per-node transfer function.
@@ -656,7 +584,7 @@ func (c *checker) releaseOf(n ast.Node, s *site) (isRelease, deferred bool) {
 		return false, false
 	}
 	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	if !ok || c.objOf(id) != s.obj {
+	if !ok || c.pass.TypesInfo.ObjectOf(id) != s.obj {
 		return false, false
 	}
 	return true, deferred
@@ -679,7 +607,7 @@ func (c *checker) scanUse(n ast.Node, parents map[ast.Node]ast.Node, s *site) us
 	strongest := useNone
 	inspectShallowWithFuncLit(n, func(m ast.Node, inLit bool) bool {
 		id, ok := m.(*ast.Ident)
-		if !ok || c.objOf(id) != s.obj {
+		if !ok || c.pass.TypesInfo.ObjectOf(id) != s.obj {
 			return true
 		}
 		var cl useClass

@@ -50,9 +50,10 @@ var refleaseAtoms = []string{
 }
 
 // TestFixpointStaysWithinBudget runs the analyzer over random bodies with
-// nested loops, labeled jumps, redundant conditions and early returns. The
-// per-site fixpoint panics when it exceeds (maxTuples+1)·|blocks| block
-// visits, so a run that returns on every body is the budget holding.
+// nested loops, labeled jumps, redundant conditions and early returns.
+// cfg.Forward panics when the per-site fixpoint exceeds its
+// (maxTuples+1)·|blocks| block visits, so a run that returns on every body
+// is the budget holding.
 func TestFixpointStaysWithinBudget(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {
