@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"thriftylp/graph"
-	"thriftylp/internal/core"
 	"thriftylp/internal/stats"
 )
 
@@ -142,30 +141,6 @@ func autoSelect(g *graph.Graph, o *options) (Algorithm, *ProbeStats) {
 		o.shards = budgetShardCount(estimateResidentBytes(p), budget)
 	}
 	return algo, toProbeStats(p, reason)
-}
-
-// Arena is a reusable allocation pool for runs' working buffers (labels,
-// frontiers, bitmaps). Passing the same Arena to consecutive runs via
-// WithArena makes the second and later runs recycle the previous run's
-// buffers instead of allocating fresh ones — the steady-state win for
-// serving paths and benchmark loops that solve many graphs of similar size.
-//
-// Rules: an Arena serves one run at a time (concurrent runs need an Arena
-// each), and starting a new run on an Arena invalidates the Labels slice of
-// the previous run's Result — retain results across runs by copying.
-type Arena struct{ inner core.Arena }
-
-// NewArena returns an empty Arena.
-func NewArena() *Arena { return &Arena{} }
-
-// WithArena routes the run's working-buffer acquisitions through a. A nil
-// a is ignored (plain allocation).
-func WithArena(a *Arena) Option {
-	return func(o *options) {
-		if a != nil {
-			o.cfg.Arena = &a.inner
-		}
-	}
 }
 
 // Auto probes g, picks the algorithm the decision policy expects to win,

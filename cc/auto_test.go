@@ -114,33 +114,3 @@ func TestAutoReportsProbe(t *testing.T) {
 		t.Fatal("direct run carries selector fields")
 	}
 }
-
-// TestAutoWithArena: the selector composes with arena-backed buffer reuse
-// across runs, including when consecutive runs resolve to different
-// algorithms with different buffer shapes.
-func TestAutoWithArena(t *testing.T) {
-	rmat, err := gen.RMAT(gen.DefaultRMAT(11, 8, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	star, err := gen.Star(4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arena := cc.NewArena()
-	for rep := 0; rep < 3; rep++ {
-		for _, g := range []struct {
-			g      interface{ NumVertices() int }
-			run    func() cc.Result
-			oracle []uint32
-		}{
-			{rmat, func() cc.Result { return cc.Auto(rmat, cc.WithArena(arena)) }, cc.Sequential(rmat)},
-			{star, func() cc.Result { return cc.Auto(star, cc.WithArena(arena)) }, cc.Sequential(star)},
-		} {
-			res := g.run()
-			if !cc.Equivalent(res.Labels, g.oracle) {
-				t.Fatalf("rep %d: arena-backed auto run disagrees with oracle", rep)
-			}
-		}
-	}
-}

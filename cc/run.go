@@ -203,7 +203,6 @@ func RunContext(ctx context.Context, a Algorithm, g *graph.Graph, opts ...Option
 	if a == AlgoAuto {
 		selected, probe = autoSelect(g, o)
 	}
-	o.cfg.Arena.BeginRun()
 
 	cres, err := run(selected, g, o)
 	if err != nil {

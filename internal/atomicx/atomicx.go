@@ -27,19 +27,6 @@ func MinUint32(addr *uint32, val uint32) bool {
 	}
 }
 
-// MinUint64 is MinUint32 for 64-bit labels.
-func MinUint64(addr *uint64, val uint64) bool {
-	for {
-		cur := atomic.LoadUint64(addr)
-		if cur <= val {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(addr, cur, val) {
-			return true
-		}
-	}
-}
-
 // MaxUint32 atomically sets *addr to max(*addr, val) and reports whether the
 // stored value was raised.
 func MaxUint32(addr *uint32, val uint32) bool {

@@ -48,11 +48,7 @@ func TestMinUint32Hammer(t *testing.T) {
 	}
 }
 
-func TestMinUint64AndMax(t *testing.T) {
-	var v64 uint64 = 100
-	if !MinUint64(&v64, 1) || v64 != 1 {
-		t.Fatalf("MinUint64: v = %d", v64)
-	}
+func TestMax(t *testing.T) {
 	var m uint32 = 3
 	if !MaxUint32(&m, 9) || m != 9 {
 		t.Fatalf("MaxUint32: m = %d", m)

@@ -1,8 +1,8 @@
 // Package bitmap implements fixed-size bit sets used as dense frontier
 // representations by the label-propagation engines. Two flavours are
 // provided: Bitmap, a single-writer set with no synchronization, and the
-// atomic operations SetAtomic/GetAtomic for concurrent frontier insertion
-// during parallel push and pull-frontier iterations.
+// atomic SetAtomic for concurrent frontier insertion during parallel push
+// and pull-frontier iterations.
 package bitmap
 
 import (
@@ -48,7 +48,7 @@ func (b *Bitmap) Get(i int) bool {
 
 // SetAtomic sets bit i with an atomic read-modify-write and reports whether
 // this call changed the bit (false if it was already set). It is safe for
-// concurrent use with other SetAtomic/GetAtomic calls.
+// concurrent use with other SetAtomic calls.
 //
 //thrifty:hotpath
 func (b *Bitmap) SetAtomic(i int) bool {
@@ -63,13 +63,6 @@ func (b *Bitmap) SetAtomic(i int) bool {
 			return true
 		}
 	}
-}
-
-// GetAtomic reports whether bit i is set, with an atomic load.
-//
-//thrifty:hotpath
-func (b *Bitmap) GetAtomic(i int) bool {
-	return atomicx.LoadUint64(&b.words[i/wordBits])&(1<<(uint(i)%wordBits)) != 0
 }
 
 // Reset clears all bits. Not safe for concurrent use.
@@ -101,16 +94,6 @@ func (b *Bitmap) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Any reports whether at least one bit is set.
-func (b *Bitmap) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // ForEach calls fn for every set bit in ascending order.
@@ -208,13 +191,6 @@ func (b *Bitmap) Swap(o *Bitmap) {
 		panic("bitmap: swap of different sizes")
 	}
 	b.words, o.words = o.words, b.words
-}
-
-// Clone returns a deep copy of b.
-func (b *Bitmap) Clone() *Bitmap {
-	c := New(b.n)
-	copy(c.words, b.words)
-	return c
 }
 
 // Union sets b = b ∪ o. Both must have the same capacity.

@@ -39,11 +39,8 @@ func TestSetAllAndReset(t *testing.T) {
 		if got := b.Count(); got != n {
 			t.Fatalf("n=%d: Count after SetAll = %d", n, got)
 		}
-		if b.Any() != (n > 0) {
-			t.Fatalf("n=%d: Any = %v", n, b.Any())
-		}
 		b.Reset()
-		if b.Count() != 0 || b.Any() {
+		if b.Count() != 0 {
 			t.Fatalf("n=%d: bits remain after Reset", n)
 		}
 	}
@@ -57,8 +54,8 @@ func TestSetAtomicReportsChange(t *testing.T) {
 	if b.SetAtomic(42) {
 		t.Fatal("second SetAtomic returned true")
 	}
-	if !b.GetAtomic(42) {
-		t.Fatal("GetAtomic false after SetAtomic")
+	if !b.Get(42) {
+		t.Fatal("Get false after SetAtomic")
 	}
 }
 
@@ -118,21 +115,13 @@ func TestForEachAndAppendTo(t *testing.T) {
 	}
 }
 
-func TestSwapAndClone(t *testing.T) {
+func TestSwap(t *testing.T) {
 	a, b := New(128), New(128)
 	a.Set(3)
 	b.Set(99)
 	a.Swap(b)
 	if !a.Get(99) || !b.Get(3) || a.Get(3) || b.Get(99) {
 		t.Fatal("Swap did not exchange contents")
-	}
-	c := a.Clone()
-	a.Set(5)
-	if c.Get(5) {
-		t.Fatal("Clone aliases original")
-	}
-	if !c.Get(99) {
-		t.Fatal("Clone lost bits")
 	}
 }
 

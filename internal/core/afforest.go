@@ -73,7 +73,7 @@ func (f *chunkFlusher) flush(ck *chunkCounts, tid int) { ck.flush(f.cfg.Ctr, tid
 func Afforest(g *graph.Graph, cfg Config) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
-	comp := cfg.Arena.Uint32s(n)
+	comp := make([]uint32, n)
 	parallel.Fill(pool, comp, func(i int) uint32 { return uint32(i) })
 	if n == 0 {
 		return Result{Labels: comp}

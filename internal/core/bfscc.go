@@ -29,7 +29,7 @@ const (
 func BFSCC(g *graph.Graph, cfg Config) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
-	comp := cfg.Arena.Uint32s(n)
+	comp := make([]uint32, n)
 	parallel.Fill(pool, comp, func(i int) uint32 { return bfsUnset })
 
 	res := Result{}
@@ -74,8 +74,8 @@ func bfsFrom(g *graph.Graph, cfg Config, pool *parallel.Pool, comp []uint32, s u
 		if frontierEdges > remaining/bfsAlpha && len(frontier) > 64 {
 			// --- Bottom-up steps ---
 			if front == nil {
-				front = cfg.Arena.Bitmap(g.NumVertices())
-				nextBm = cfg.Arena.Bitmap(g.NumVertices())
+				front = bitmap.New(g.NumVertices())
+				nextBm = bitmap.New(g.NumVertices())
 			} else {
 				front.Reset()
 			}

@@ -29,7 +29,7 @@ const connectItKOutRounds = 2
 func ConnectItKOut(g *graph.Graph, cfg Config) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
-	comp := cfg.Arena.Uint32s(n)
+	comp := make([]uint32, n)
 	parallel.Fill(pool, comp, func(i int) uint32 { return uint32(i) })
 	if n == 0 {
 		return Result{Labels: comp}
@@ -89,7 +89,7 @@ func ConnectItKOut(g *graph.Graph, cfg Config) Result {
 func ConnectItBFS(g *graph.Graph, cfg Config) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
-	comp := cfg.Arena.Uint32s(n)
+	comp := make([]uint32, n)
 	parallel.Fill(pool, comp, func(i int) uint32 { return uint32(i) })
 	if n == 0 {
 		return Result{Labels: comp}
@@ -102,7 +102,7 @@ func ConnectItBFS(g *graph.Graph, cfg Config) Result {
 	// comp is identity-initialized, so run the BFS on a scratch array and
 	// fold the reached set into comp as a depth-1 star.
 	hub := g.MaxDegreeVertex()
-	scratch := cfg.Arena.Uint32s(n)
+	scratch := make([]uint32, n)
 	parallel.Fill(pool, scratch, func(i int) uint32 { return bfsUnset })
 	var explored int64
 	levels := bfsFrom(g, cfg, pool, scratch, hub, &explored)

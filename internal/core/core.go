@@ -55,10 +55,6 @@ type Config struct {
 	// composes with Ctr, Lines and Trace, whose totals it leaves unchanged.
 	// Chaos tests only.
 	Faults *FaultPlan
-	// Arena, when non-nil, supplies the run's working buffers (labels,
-	// worklists, bitmaps) from a reusable pool instead of fresh allocations;
-	// see Arena. nil keeps the allocate-per-run behaviour.
-	Arena *Arena
 
 	// The remaining fields are Thrifty ablation/tuning switches; the zero
 	// values select the paper's algorithm.

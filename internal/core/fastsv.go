@@ -23,8 +23,8 @@ import (
 func FastSV(g *graph.Graph, cfg Config) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
-	f := cfg.Arena.Uint32s(n)
-	gp := cfg.Arena.Uint32s(n)
+	f := make([]uint32, n)
+	gp := make([]uint32, n)
 	parallel.Fill(pool, f, func(i int) uint32 { return uint32(i) })
 	parallel.Copy(pool, gp, f)
 	sch := newScheduler(g, cfg, pool)

@@ -20,7 +20,7 @@ import (
 func JayantiTarjan(g *graph.Graph, cfg Config) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
-	parent := cfg.Arena.Uint32s(n)
+	parent := make([]uint32, n)
 	parallel.Fill(pool, parent, func(i int) uint32 { return uint32(i) })
 	if n == 0 {
 		return Result{Labels: parent}

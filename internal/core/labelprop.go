@@ -139,14 +139,14 @@ func density(g *graph.Graph, activeV, activeE int64) float64 {
 	return float64(activeV+activeE) / float64(m)
 }
 
-// fillFrontier loads the set bits of bm into ws, the dense→sparse frontier
+// fillFrontier loads the set bits of bm into q, the dense→sparse frontier
 // conversion before a dolpRule push. Each thread appends the chunks it
 // claims in ascending order, so a one-thread fill lists the vertices in
-// ascending order. The bits are appended without marking ws; the push marks
-// its output in a bitmap, not in ws.
-func fillFrontier(pool *parallel.Pool, ws *worklist.Set, bm *bitmap.Bitmap) {
+// ascending order. The bits are distinct, so q needs no mark array; the
+// push marks its output in a bitmap.
+func fillFrontier(pool *parallel.Pool, q *worklist.Queue, bm *bitmap.Bitmap) {
 	parallel.For(pool, bm.Len(), 8192, func(tid, lo, hi int) {
-		ws.AppendRange(tid, bm, lo, hi)
+		q.AppendRange(tid, bm, lo, hi)
 	})
 }
 
@@ -192,10 +192,10 @@ func HopDistanceUnified(g *graph.Graph, root uint32, cfg Config) Result {
 // dolp runs program P on the DO-LP loop; root is used by hopCount only.
 func dolp[A labelAccess, P program](g *graph.Graph, cfg Config, root uint32) Result {
 	n := g.NumVertices()
-	read := cfg.Arena.Uint32s(n)
+	read := make([]uint32, n)
 	write := read
 	if !shared[A]() {
-		write = cfg.Arena.Uint32s(n)
+		write = make([]uint32, n)
 	}
 	if cfg.fastInstr() {
 		return dolpRun[A, P](g, cfg, root, read, write, noInstr{})
@@ -227,10 +227,10 @@ func dolpRun[A labelAccess, P program, I instr[I]](g *graph.Graph, cfg Config, r
 		parallel.Copy(pool, write, read)
 	}
 	// The frontier is a bitmap (dolpRule); a push drains it through cur.
-	oldBM, newBM := cfg.Arena.Bitmap(n), cfg.Arena.Bitmap(n)
+	oldBM, newBM := bitmap.New(n), bitmap.New(n)
 	oldBM.SetAll()
 	activeV, activeE := int64(n), g.NumDirectedEdges()
-	cur := cfg.Arena.Worklist(n, pool.Threads())
+	cur := worklist.NewQueue(pool.Threads())
 	sch := newScheduler(g, cfg, pool)
 
 	res := Result{PhaseDurations: make(map[string]time.Duration, 2)}
@@ -304,8 +304,8 @@ func LP(g *graph.Graph, cfg Config) Result {
 func lpRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
-	oldLbs := cfg.Arena.Uint32s(n)
-	newLbs := cfg.Arena.Uint32s(n)
+	oldLbs := make([]uint32, n)
+	newLbs := make([]uint32, n)
 	parallel.Fill(pool, oldLbs, func(i int) uint32 { return uint32(i) })
 	parallel.Copy(pool, newLbs, oldLbs)
 	sch := newScheduler(g, cfg, pool)
@@ -417,7 +417,7 @@ var prefetchSink uint32
 // decrease.
 //
 //thrifty:hotpath
-func pushSweep[A labelAccess, P program, R rule, I instr[I]](g *graph.Graph, pool *parallel.Pool, read, write []uint32, cur *worklist.Set, fr frontier, work int64, stop *Stop, proto I) (int64, int64) {
+func pushSweep[A labelAccess, P program, R rule, I instr[I]](g *graph.Graph, pool *parallel.Pool, read, write []uint32, cur *worklist.Queue, fr frontier, work int64, stop *Stop, proto I) (int64, int64) {
 	var av, ae int64
 	if work < pushSeqCutoff {
 		pushDrain[A, P, R](g, read, write, cur, fr, stop, proto, 0, &av, &ae)
@@ -438,7 +438,7 @@ func pushSweep[A labelAccess, P program, R rule, I instr[I]](g *graph.Graph, poo
 //
 //go:noinline
 //thrifty:hotpath
-func pushDrain[A labelAccess, P program, R rule, I instr[I]](g *graph.Graph, read, write []uint32, cur *worklist.Set, fr frontier, stop *Stop, proto I, tid int, av, ae *int64) {
+func pushDrain[A labelAccess, P program, R rule, I instr[I]](g *graph.Graph, read, write []uint32, cur *worklist.Queue, fr frontier, stop *Stop, proto I, tid int, av, ae *int64) {
 	offs, adj := g.Offsets(), g.Adjacency()
 	ins := proto.Fresh()
 	var localV, localE int64

@@ -105,7 +105,7 @@ func TestFrontierCountsAndFill(t *testing.T) {
 		t.Fatalf("density = %v", d)
 	}
 
-	ws := worklist.New(n, 1)
+	ws := worklist.NewQueue(1)
 	fillFrontier(pool, ws, bm)
 	var got []uint32
 	ws.ForEach(func(v uint32) { got = append(got, v) })

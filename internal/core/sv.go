@@ -15,7 +15,7 @@ import (
 func ShiloachVishkin(g *graph.Graph, cfg Config) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
-	comp := cfg.Arena.Uint32s(n)
+	comp := make([]uint32, n)
 	parallel.Fill(pool, comp, func(i int) uint32 { return uint32(i) })
 	sch := newScheduler(g, cfg, pool)
 

@@ -6,6 +6,7 @@ import (
 	"thriftylp/graph"
 	"thriftylp/internal/counters"
 	"thriftylp/internal/parallel"
+	"thriftylp/internal/worklist"
 )
 
 // Thrifty is the paper's contribution (Algorithm 2): Label Propagation CC
@@ -51,7 +52,7 @@ func thriftyRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 		return Result{Labels: []uint32{}}
 	}
 	threshold := cfg.threshold(DefaultThriftyThreshold)
-	labels := cfg.Arena.Uint32s(n)
+	labels := make([]uint32, n)
 
 	// --- Zero Planting (Algorithm 2 lines 2-9) ---
 	// labels[v] = v+1, then the max-degree vertex — memoized in the CSR at
@@ -67,8 +68,8 @@ func thriftyRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 	labels[maxV] = 0
 
 	threads := pool.Threads()
-	cur := cfg.Arena.Worklist(n, threads)
-	next := cfg.Arena.Worklist(n, threads)
+	cur := worklist.New(n, threads)
+	next := worklist.New(n, threads)
 	sch := newScheduler(g, cfg, pool)
 
 	res := Result{PhaseDurations: make(map[string]time.Duration, 4)}
@@ -95,7 +96,7 @@ func thriftyRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 	} else {
 		loop.begin()
 		cur.AddUnchecked(0, maxV)
-		activeV, activeE = pushSweep[sharedLabels, minLabel, thriftyRule](g, pool, labels, labels, cur, frontier{ws: next}, 1+int64(g.Degree(maxV)), cfg.Stop, proto)
+		activeV, activeE = pushSweep[sharedLabels, minLabel, thriftyRule](g, pool, labels, labels, &cur.Queue, frontier{ws: next}, 1+int64(g.Degree(maxV)), cfg.Stop, proto)
 		cur, next = next, cur
 		next.Reset()
 		canceled = loop.end(counters.IterRecord{
@@ -136,7 +137,7 @@ func thriftyRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 		case didPull && rec.Density < threshold && haveFrontier:
 			// --- Push traversal over the detailed sparse frontier ---
 			rec.Kind = counters.KindPush
-			activeV, activeE = pushSweep[sharedLabels, minLabel, thriftyRule](g, pool, labels, labels, cur, frontier{ws: next}, activeV+activeE, cfg.Stop, proto)
+			activeV, activeE = pushSweep[sharedLabels, minLabel, thriftyRule](g, pool, labels, labels, &cur.Queue, frontier{ws: next}, activeV+activeE, cfg.Stop, proto)
 			cur, next = next, cur
 			next.Reset()
 

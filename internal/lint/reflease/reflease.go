@@ -41,6 +41,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"math/bits"
 
 	"thriftylp/internal/lint/analysis"
 	"thriftylp/internal/lint/cfg"
@@ -191,25 +192,69 @@ type tuple struct {
 // defers (3).
 const maxTuples = 2 * 2 * 2 * 3 * 3
 
-type tupleSet map[tuple]bool
+// index numbers t within the lattice, in [0, maxTuples).
+func (t tuple) index() int {
+	i := int(t.nilness)*3 + int(t.defers)
+	if t.held {
+		i += 9
+	}
+	if t.released {
+		i += 18
+	}
+	if t.dead {
+		i += 36
+	}
+	return i
+}
 
-func union(dst, src tupleSet) (tupleSet, bool) {
-	changed := false
-	for t := range src {
-		if !dst[t] {
-			if !changed {
-				// Copy-on-write so predecessor sets stay immutable.
-				nd := make(tupleSet, len(dst)+len(src))
-				for k := range dst {
-					nd[k] = true
-				}
-				dst = nd
-				changed = true
-			}
-			dst[t] = true
+// tupleAt is the inverse of index.
+func tupleAt(i int) tuple {
+	return tuple{held: i/9%2 == 1, released: i/18%2 == 1, dead: i >= 36, nilness: byte(i / 3 % 3), defers: byte(i % 3)}
+}
+
+// tupleSet is a set of tuples, bit t.index() for tuple t. It is a value,
+// so predecessor sets stay immutable without copying.
+type tupleSet [2]uint64
+
+// The lattice fits tupleSet's 128 bits; this fails to compile otherwise.
+const _ = uint(128 - maxTuples)
+
+func setOf(t tuple) tupleSet {
+	var s tupleSet
+	s.add(t)
+	return s
+}
+
+func (s *tupleSet) add(t tuple) {
+	i := t.index()
+	s[i/64] |= 1 << (i % 64)
+}
+
+// tuples returns the members of s in index order.
+func (s tupleSet) tuples() []tuple {
+	out := make([]tuple, 0, bits.OnesCount64(s[0])+bits.OnesCount64(s[1]))
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, tupleAt(w*64+bits.TrailingZeros64(word)))
 		}
 	}
-	return dst, changed
+	return out
+}
+
+// leaks reports whether some tuple of s holds an unreleased, undeferred,
+// possibly non-nil reference this frame still owns.
+func (s tupleSet) leaks() bool {
+	for _, t := range s.tuples() {
+		if t.held && !t.released && !t.dead && t.defers == 0 && t.nilness != nilIs {
+			return true
+		}
+	}
+	return false
+}
+
+func union(dst, src tupleSet) (tupleSet, bool) {
+	out := tupleSet{dst[0] | src[0], dst[1] | src[1]}
+	return out, out != dst
 }
 
 // siteKind distinguishes the two acquire forms.
@@ -361,17 +406,14 @@ func (c *checker) analyzeSite(enclosing *types.Func, graph *cfg.CFG, parents map
 	what := fmt.Sprintf("reflease: fixpoint for %s (%s at %s)", fn, s.name, c.pass.Fset.Position(s.pos))
 
 	// A tuple set can grow at most maxTuples times after its first record.
-	in := cfg.Forward(graph, what, maxTuples, tupleSet{tuple{nilness: nilMaybe}: true}, union,
+	in := cfg.Forward(graph, what, maxTuples, setOf(tuple{nilness: nilMaybe}), union,
 		func(blk *cfg.Block, state tupleSet) []tupleSet {
 			return c.transfer(blk, state, parents, s, rep, &returned)
 		})
 
 	// Leak check at the one place every return and fall-off path meets.
-	for t := range in[graph.Exit] {
-		if t.held && !t.released && !t.dead && t.defers == 0 && t.nilness != nilIs {
-			rep.reportf(s.pos, "result of %s is not released on every path (reference leak)", s.name)
-			break
-		}
+	if in[graph.Exit].leaks() {
+		rep.reportf(s.pos, "result of %s is not released on every path (reference leak)", s.name)
 	}
 
 	// Ownership propagated to callers: the enclosing function hands out
@@ -423,7 +465,7 @@ func (c *checker) transfer(blk *cfg.Block, in tupleSet, parents map[ast.Node]ast
 func (c *checker) refine(cond ast.Node, cur tupleSet, s *site) (outT, outF tupleSet, ok bool) {
 	e, isExpr := cond.(ast.Expr)
 	if !isExpr {
-		return nil, nil, false
+		return tupleSet{}, tupleSet{}, false
 	}
 	e = ast.Unparen(e)
 	neg := false
@@ -439,7 +481,7 @@ func (c *checker) refine(cond ast.Node, cur tupleSet, s *site) (outT, outF tuple
 	switch e := e.(type) {
 	case *ast.BinaryExpr:
 		if e.Op != token.EQL && e.Op != token.NEQ {
-			return nil, nil, false
+			return tupleSet{}, tupleSet{}, false
 		}
 		var idExpr ast.Expr
 		if isNilIdent(e.Y) {
@@ -447,28 +489,28 @@ func (c *checker) refine(cond ast.Node, cur tupleSet, s *site) (outT, outF tuple
 		} else if isNilIdent(e.X) {
 			idExpr = e.Y
 		} else {
-			return nil, nil, false
+			return tupleSet{}, tupleSet{}, false
 		}
 		id, isIdent := ast.Unparen(idExpr).(*ast.Ident)
 		if !isIdent || c.pass.TypesInfo.ObjectOf(id) != s.obj {
-			return nil, nil, false
+			return tupleSet{}, tupleSet{}, false
 		}
 		eqNil := e.Op == token.EQL
 		if neg {
 			eqNil = !eqNil
 		}
 		// true edge: v == nil holds (or v != nil when eqNil is false).
-		nilEdge, notEdge := tupleSet{}, tupleSet{}
-		for t := range cur {
+		var nilEdge, notEdge tupleSet
+		for _, t := range cur.tuples() {
 			if t.nilness != nilNot {
 				tn := t
 				tn.nilness = nilIs
-				nilEdge[tn] = true
+				nilEdge.add(tn)
 			}
 			if t.nilness != nilIs {
 				tn := t
 				tn.nilness = nilNot
-				notEdge[tn] = true
+				notEdge.add(tn)
 			}
 		}
 		if eqNil {
@@ -478,18 +520,18 @@ func (c *checker) refine(cond ast.Node, cur tupleSet, s *site) (outT, outF tuple
 
 	case *ast.CallExpr:
 		if s.kind != tryRefSite || ast.Node(e) != s.bind {
-			return nil, nil, false
+			return tupleSet{}, tupleSet{}, false
 		}
 		// Successful tryRef: a reference is held from here; failure holds
 		// nothing. Any prior state of the variable is superseded.
-		heldSet := tupleSet{tuple{held: true, nilness: nilNot}: true}
-		noneSet := tupleSet{tuple{nilness: nilNot}: true}
+		heldSet := setOf(tuple{held: true, nilness: nilNot})
+		noneSet := setOf(tuple{nilness: nilNot})
 		if neg {
 			return noneSet, heldSet, true
 		}
 		return heldSet, noneSet, true
 	}
-	return nil, nil, false
+	return tupleSet{}, tupleSet{}, false
 }
 
 func isNilIdent(e ast.Expr) bool {
@@ -502,20 +544,17 @@ func (c *checker) apply(n ast.Node, in tupleSet, parents map[ast.Node]ast.Node, 
 	// The site's own binding supersedes every prior state; a still-held
 	// un-deferred reference flowing back into it (loop re-acquire) leaks.
 	if n == s.bind && s.kind == acquireSite {
-		for t := range in {
-			if t.held && !t.released && !t.dead && t.defers == 0 && t.nilness != nilIs {
-				rep.reportf(s.pos, "result of %s is not released on every path (reference leak)", s.name)
-				break
-			}
+		if in.leaks() {
+			rep.reportf(s.pos, "result of %s is not released on every path (reference leak)", s.name)
 		}
-		return tupleSet{tuple{held: true, nilness: nilMaybe}: true}
+		return setOf(tuple{held: true, nilness: nilMaybe})
 	}
 
 	if rel, deferred := c.releaseOf(n, s); rel {
-		out := tupleSet{}
-		for t := range in {
+		var out tupleSet
+		for _, t := range in.tuples() {
 			if t.dead {
-				out[t] = true
+				out.add(t)
 				continue
 			}
 			if t.released || t.defers > 0 {
@@ -531,7 +570,7 @@ func (c *checker) apply(n ast.Node, in tupleSet, parents map[ast.Node]ast.Node, 
 			} else {
 				t.released = true
 			}
-			out[t] = true
+			out.add(t)
 		}
 		return out
 	}
@@ -543,11 +582,8 @@ func (c *checker) apply(n ast.Node, in tupleSet, parents map[ast.Node]ast.Node, 
 		*returned = true
 		return killAll(in)
 	case useReassign:
-		for t := range in {
-			if t.held && !t.released && !t.dead && t.defers == 0 && t.nilness != nilIs {
-				rep.reportf(s.pos, "result of %s is not released on every path (reference leak)", s.name)
-				break
-			}
+		if in.leaks() {
+			rep.reportf(s.pos, "result of %s is not released on every path (reference leak)", s.name)
 		}
 		return killAll(in)
 	}
@@ -555,10 +591,10 @@ func (c *checker) apply(n ast.Node, in tupleSet, parents map[ast.Node]ast.Node, 
 }
 
 func killAll(in tupleSet) tupleSet {
-	out := tupleSet{}
-	for t := range in {
+	var out tupleSet
+	for _, t := range in.tuples() {
 		t.dead = true
-		out[t] = true
+		out.add(t)
 	}
 	return out
 }

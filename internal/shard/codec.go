@@ -45,8 +45,8 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // DecodePairs decodes a batch encoded as above, invoking fn for every
 // pair in ascending vertex order. hi bounds the vertex ids (the destination
-// shard's Hi); a batch decoding outside [base, hi) or truncating mid-pair is
-// reported as an error rather than applied. The decode loop is the hot half
+// shard's Hi, so base <= hi); a batch decoding outside [base, hi) or
+// truncating mid-pair is reported as an error rather than applied. The decode loop is the hot half
 // of every exchange round — error construction lives in the cold helpers
 // below so the loop itself never touches fmt.
 //
@@ -69,10 +69,13 @@ func DecodePairs(data []byte, base, hi uint32, fn func(v, label uint32)) error {
 			return errTruncated(i, count)
 		}
 		data = data[n:]
-		v += delta
-		if v >= uint64(hi) || label > uint64(^uint32(0)) {
-			return errOutsideRange(v, label, base, hi)
+		// v <= hi holds here (base <= hi, and each accepted pair is below
+		// hi), so hi-v cannot wrap: comparing delta with it rejects every
+		// pair at or past hi, including a v+delta that wraps below base.
+		if delta >= uint64(hi)-v || label > uint64(^uint32(0)) {
+			return errOutsideRange(v+delta, label, base, hi)
 		}
+		v += delta
 		fn(uint32(v), uint32(label))
 	}
 	if len(data) != 0 {

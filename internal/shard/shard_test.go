@@ -28,7 +28,7 @@ type Pair struct {
 // encode sizes a batch exactly with uvarintLen and writes it the way
 // Node.Emit does — count header, then putPair per pair — which must fill
 // the buffer.
-func encode(t *testing.T, base uint32, pairs []Pair) []byte {
+func encode(t testing.TB, base uint32, pairs []Pair) []byte {
 	t.Helper()
 	size, prev := uvarintLen(uint64(len(pairs))), base
 	for _, p := range pairs {
@@ -124,6 +124,31 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 	}
 	if err := DecodePairs(nil, 0, 100, nop); err == nil {
 		t.Fatal("empty input accepted")
+	}
+}
+
+// TestCodecRejectsWrappingDelta: a vertex delta of 2^64-1 wraps v from base
+// 2 round to 1, below the shard range [2,4). The decoder must reject the
+// pair, and Node.Apply must return that error instead of indexing its
+// representatives at v-Lo.
+func TestCodecRejectsWrappingDelta(t *testing.T) {
+	batch := append(binary.AppendUvarint([]byte{1}, ^uint64(0)), 0)
+	if len(batch) != 12 {
+		t.Fatalf("wrap batch is %d bytes, want 12", len(batch))
+	}
+	if err := DecodePairs(batch, 2, 4, func(v, l uint32) {
+		t.Fatalf("decoder delivered (%d,%d) from a wrapping delta", v, l)
+	}); err == nil {
+		t.Fatal("wrapping delta accepted")
+	}
+	g := mustGraph(csrFromEdges(6, [][2]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}))
+	sl, err := graph.SliceFromGraph(g, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges := []parallel.Range{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 4}, {Lo: 4, Hi: 6}}
+	if err := NewNode(1, sl, ranges, g.MaxDegreeVertex()).Apply(batch); err == nil {
+		t.Fatal("Node.Apply accepted a wrapping delta")
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package worklist implements the sparse frontier data structure of the
 // Thrifty paper (§IV-E): per-thread local worklists that collect active
 // vertices during push iterations, a shared mark array that best-effort
-// deduplicates insertions, and chunked work stealing for consumption.
+// deduplicates insertions, and chunked work stealing for consumption. A
+// Queue is the lists and steal cursors alone; a Set adds the mark array.
 //
 // The paper uses a plain (non-atomic) shared byte array and tolerates the
 // resulting race: a vertex may be inserted into two threads' worklists and
@@ -23,14 +24,12 @@ import (
 // contiguous for locality.
 const stealChunk = 64
 
-// Set is a frontier of active vertices with per-thread insertion lists.
-// A Set is written during one iteration (via Add) and consumed during the
-// next (via Drain); Reset prepares it for reuse.
-type Set struct {
-	marked  []uint32   // shared mark array; atomic load/store, no CAS
+// Queue is a list of vertices to drain: one local list per thread and a
+// steal cursor for each. It has no mark array, so it suits a frontier whose
+// vertices are already distinct, such as the set bits of a bitmap.
+type Queue struct {
 	lists   [][]uint32 // one local worklist per thread
 	cursors []cursorPad
-	threads int
 }
 
 //thrifty:padded
@@ -39,17 +38,23 @@ type cursorPad struct {
 	_ [7]int64 // pad to a cache line so steal cursors do not false-share
 }
 
+// NewQueue creates an empty Queue for the given thread count.
+func NewQueue(threads int) *Queue {
+	threads = max(threads, 1)
+	return &Queue{lists: make([][]uint32, threads), cursors: make([]cursorPad, threads)}
+}
+
+// Set is a frontier of active vertices: a Queue whose insertions a shared
+// mark array deduplicates. A Set is written during one iteration (via Add)
+// and consumed during the next (via Drain); Reset prepares it for reuse.
+type Set struct {
+	Queue
+	marked []uint32 // shared mark array; atomic load/store, no CAS
+}
+
 // New creates a Set for vertex ids [0, n) and the given thread count.
 func New(n, threads int) *Set {
-	if threads <= 0 {
-		threads = 1
-	}
-	return &Set{
-		marked:  make([]uint32, n),
-		lists:   make([][]uint32, threads),
-		cursors: make([]cursorPad, threads),
-		threads: threads,
-	}
+	return &Set{Queue: *NewQueue(threads), marked: make([]uint32, n)}
 }
 
 // Add inserts vertex v into thread tid's local worklist unless the shared
@@ -89,11 +94,9 @@ func (s *Set) AddUnchecked(tid int, v uint32) {
 }
 
 // AppendRange appends the set bits of bm in [lo, hi) to thread tid's list
-// in ascending order, without marking them: it loads a dense frontier for
-// draining, not one that later Adds deduplicate against. Reset still
-// empties the Set (unmarking an unmarked vertex is a no-op).
-func (s *Set) AppendRange(tid int, bm *bitmap.Bitmap, lo, hi int) {
-	s.lists[tid] = bm.AppendRange(s.lists[tid], lo, hi)
+// in ascending order: it loads a dense frontier for draining.
+func (q *Queue) AppendRange(tid int, bm *bitmap.Bitmap, lo, hi int) {
+	q.lists[tid] = bm.AppendRange(q.lists[tid], lo, hi)
 }
 
 // Contains reports whether v is marked present.
@@ -105,29 +108,30 @@ func (s *Set) Contains(v uint32) bool {
 
 // Len returns the total number of queued vertices across all lists,
 // counting duplicates. Single-threaded; call between iterations.
-func (s *Set) Len() int {
+func (q *Queue) Len() int {
 	n := 0
-	for _, l := range s.lists {
+	for _, l := range q.lists {
 		n += len(l)
 	}
 	return n
 }
 
 // Empty reports whether no vertex is queued.
-func (s *Set) Empty() bool { return s.Len() == 0 }
+func (q *Queue) Empty() bool { return q.Len() == 0 }
 
-// Drain consumes the Set on behalf of thread tid: first chunks of tid's own
-// list, then chunks stolen from the other threads' lists in ring order.
+// Drain consumes the Queue on behalf of thread tid: first chunks of tid's
+// own list, then chunks stolen from the other threads' lists in ring order.
 // Drain is called concurrently by all threads; each queued vertex is
 // delivered to exactly one caller (though the same vertex id may have been
 // queued twice by racing Adds).
 //
 //thrifty:hotpath
-func (s *Set) Drain(tid int, fn func(v uint32)) {
-	for d := 0; d < s.threads; d++ {
-		li := (tid + d) % s.threads
-		list := s.lists[li]
-		cur := &s.cursors[li].c
+func (q *Queue) Drain(tid int, fn func(v uint32)) {
+	threads := len(q.lists)
+	for d := 0; d < threads; d++ {
+		li := (tid + d) % threads
+		list := q.lists[li]
+		cur := &q.cursors[li].c
 		for {
 			lo := int(atomicx.AddInt64(cur, stealChunk)) - stealChunk
 			if lo >= len(list) {
@@ -145,46 +149,32 @@ func (s *Set) Drain(tid int, fn func(v uint32)) {
 }
 
 // ForEach visits every queued vertex single-threadedly (duplicates
-// included), without consuming cursors. Used by tests and by dense→sparse
-// frontier conversions.
-func (s *Set) ForEach(fn func(v uint32)) {
-	for _, l := range s.lists {
+// included), without consuming cursors.
+func (q *Queue) ForEach(fn func(v uint32)) {
+	for _, l := range q.lists {
 		for _, v := range l {
 			fn(v)
 		}
 	}
 }
 
+// Reset empties the Queue for reuse: truncates the lists and rewinds the
+// steal cursors.
+func (q *Queue) Reset() {
+	for t, l := range q.lists {
+		q.lists[t] = l[:0]
+		atomicx.StoreInt64(&q.cursors[t].c, 0)
+	}
+}
+
 // Reset clears the Set for reuse: unmarks exactly the queued vertices
-// (cost proportional to the frontier, not the graph), truncates the lists,
-// and rewinds the steal cursors.
+// (cost proportional to the frontier, not the graph), then empties the
+// Queue.
 func (s *Set) Reset() {
-	for t, l := range s.lists {
+	for _, l := range s.lists {
 		for _, v := range l {
 			atomicx.StoreUint32(&s.marked[v], 0)
 		}
-		s.lists[t] = l[:0]
-		atomicx.StoreInt64(&s.cursors[t].c, 0)
 	}
+	s.Queue.Reset()
 }
-
-// ResetFull restores the Set to its freshly constructed state: every mark
-// cleared (a full memclr of the mark array, NOT just the queued vertices),
-// lists truncated, cursors rewound. Reset is the cheap per-iteration path;
-// ResetFull is for recycling a Set whose mark/list relationship is unknown —
-// e.g. an arena handing a previous run's frontier to a new run, where a
-// stale detailed frontier from a bygone push phase may hold marks its
-// (already truncated) lists no longer account for.
-func (s *Set) ResetFull() {
-	clear(s.marked)
-	for t := range s.lists {
-		s.lists[t] = s.lists[t][:0]
-		s.cursors[t].c = 0
-	}
-}
-
-// Cap returns the vertex-id capacity the Set was constructed for.
-func (s *Set) Cap() int { return len(s.marked) }
-
-// Threads returns the number of per-thread lists.
-func (s *Set) Threads() int { return s.threads }

@@ -1,10 +1,13 @@
 package worklist
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"thriftylp/internal/bitmap"
 )
 
 func TestAddAndLen(t *testing.T) {
@@ -163,11 +166,26 @@ func TestConcurrentAddDuplicatesAreBounded(t *testing.T) {
 	}
 }
 
-func TestThreadsAccessor(t *testing.T) {
-	if New(1, 3).Threads() != 3 {
-		t.Fatal("Threads accessor wrong")
+// TestQueueAppendRangeDrainReset loads a bitmap's set bits into a Queue
+// built with zero threads (clamped to one list), drains them in ascending
+// order, and checks that Reset empties the Queue for the next load.
+func TestQueueAppendRangeDrainReset(t *testing.T) {
+	bm := bitmap.New(200)
+	for _, v := range []int{3, 64, 130, 199} {
+		bm.Set(v)
 	}
-	if New(1, 0).Threads() != 1 {
-		t.Fatal("zero threads should clamp to 1")
+	q := NewQueue(0)
+	for round := 0; round < 2; round++ {
+		q.AppendRange(0, bm, 0, 100)
+		q.AppendRange(0, bm, 100, 200)
+		var got []uint32
+		q.Drain(0, func(v uint32) { got = append(got, v) })
+		if !slices.Equal(got, []uint32{3, 64, 130, 199}) {
+			t.Fatalf("round %d: drained %v", round, got)
+		}
+		q.Reset()
+		if !q.Empty() {
+			t.Fatalf("round %d: Reset left %d queued", round, q.Len())
+		}
 	}
 }

@@ -58,7 +58,9 @@ func BenchmarkThriftyInstrumented(b *testing.B) {
 
 // BenchmarkFastPathBaselines times the uninstrumented fast path of the other
 // traversal kernels sharing the instrumentation-policy design, catching
-// regressions outside the headline algorithm.
+// regressions outside the headline algorithm. It reports allocations: a
+// DO-LP run's bytes are its two labels arrays, two bitmaps and the push
+// queue's lists.
 func BenchmarkFastPathBaselines(b *testing.B) {
 	fixtures := harness.RegressionFixtures()
 	g, err := fixtures[0].Build()
@@ -67,6 +69,7 @@ func BenchmarkFastPathBaselines(b *testing.B) {
 	}
 	for _, a := range []cc.Algorithm{cc.AlgoDOLP, cc.AlgoDOLPUnified, cc.AlgoLP} {
 		b.Run(fmt.Sprintf("%s/%s", fixtures[0].Name, a), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := cc.Run(a, g); err != nil {
 					b.Fatal(err)
