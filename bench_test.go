@@ -19,7 +19,6 @@ import (
 	"thriftylp/graph"
 	"thriftylp/graph/gen"
 	"thriftylp/internal/core"
-	"thriftylp/internal/dist"
 	"thriftylp/internal/harness"
 	"thriftylp/internal/stats"
 )
@@ -403,12 +402,12 @@ func BenchmarkDistributed(b *testing.B) {
 		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
 			var bytes, suppressed int64
 			for i := 0; i < b.N; i++ {
-				res, err := dist.Run(g, dist.Config{Shards: shards})
+				res, err := cc.Run(cc.AlgoShard, g, cc.WithShards(shards))
 				if err != nil {
 					b.Fatal(err)
 				}
-				bytes = res.ExchangedBytes
-				suppressed = res.SuppressedVertices
+				bytes = res.Stats.Shard.ExchangedBytes
+				suppressed = res.Stats.Shard.SuppressedVertices
 			}
 			b.ReportMetric(float64(bytes), "exchanged-bytes")
 			b.ReportMetric(float64(suppressed), "suppressed")

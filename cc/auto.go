@@ -1,8 +1,6 @@
 package cc
 
 import (
-	"time"
-
 	"thriftylp/graph"
 	"thriftylp/internal/stats"
 )
@@ -16,57 +14,9 @@ import (
 const AlgoAuto Algorithm = "auto"
 
 // ProbeStats is the structural fingerprint an AlgoAuto run measured before
-// choosing its algorithm, surfaced on RunStats.Probe. The fields mirror
-// internal/stats.Probe; see that type for the estimation details. Cost is
-// the probe's own wall time — the overhead the selector added to the run.
-type ProbeStats struct {
-	// Exact O(1) facts from CSR metadata.
-	Vertices        int
-	DirectedEdges   int64
-	MeanDegree      float64
-	MaxDegree       int
-	SkewRatio       float64
-	HubEdgeFraction float64
-
-	// Sampled degree-distribution estimates.
-	SampleSize       int
-	SampleCoverage   float64
-	SampleMeanDegree float64
-	SampleP99        int
-	SampleAlpha      float64
-	IsolatedFraction float64
-
-	// Connectivity hint (0 unless SampleCoverage >= 0.5).
-	LargestSampleComponent float64
-	EdgeSamples            int
-
-	// Cost is the probe's wall time; Reason is the decision-policy rule that
-	// fired ("skewed", "hub-dominated", "fragmented", "chain-like",
-	// "uniform-degree", "trivial").
-	Cost   time.Duration
-	Reason string
-}
-
-func toProbeStats(p stats.Probe, reason string) *ProbeStats {
-	return &ProbeStats{
-		Vertices:               p.Vertices,
-		DirectedEdges:          p.DirectedEdges,
-		MeanDegree:             p.MeanDegree,
-		MaxDegree:              p.MaxDegree,
-		SkewRatio:              p.SkewRatio,
-		HubEdgeFraction:        p.HubEdgeFraction,
-		SampleSize:             p.SampleSize,
-		SampleCoverage:         p.SampleCoverage,
-		SampleMeanDegree:       p.SampleMeanDegree,
-		SampleP99:              p.SampleP99,
-		SampleAlpha:            p.SampleAlpha,
-		IsolatedFraction:       p.IsolatedFraction,
-		LargestSampleComponent: p.LargestSampleComponent,
-		EdgeSamples:            p.EdgeSamples,
-		Cost:                   p.Cost,
-		Reason:                 reason,
-	}
-}
+// choosing its algorithm, surfaced on RunStats.Probe: internal/stats's own
+// Probe record, with Reason set to the decision-policy rule that fired.
+type ProbeStats = stats.Probe
 
 // selectAlgorithm is the decision policy: probe in, concrete algorithm and
 // the name of the rule that fired out. The rules are ordered most-specific
@@ -136,11 +86,12 @@ func selectAlgorithm(p stats.Probe, budget int64) (Algorithm, string) {
 func autoSelect(g *graph.Graph, o *options) (Algorithm, *ProbeStats) {
 	p := stats.ProbeGraph(g, stats.ProbeOptions{})
 	budget := o.memoryBudget()
-	algo, reason := selectAlgorithm(p, budget)
-	if reason == "beyond-memory-budget" && o.shards == 0 {
+	var algo Algorithm
+	algo, p.Reason = selectAlgorithm(p, budget)
+	if p.Reason == "beyond-memory-budget" && o.shards == 0 {
 		o.shards = budgetShardCount(estimateResidentBytes(p), budget)
 	}
-	return algo, toProbeStats(p, reason)
+	return algo, &p
 }
 
 // Auto probes g, picks the algorithm the decision policy expects to win,

@@ -26,41 +26,15 @@ const AlgoShard Algorithm = "shard"
 // budget on runs that did not pass WithMemoryBudget explicitly.
 const MemBudgetEnv = "THRIFTY_MEM_BUDGET"
 
+// ShardStats is the sharded pipeline's telemetry, attached to
+// RunStats.Shard on AlgoShard runs (nil for every other algorithm). It is
+// internal/dist's own record, not a copy: a field added there reaches
+// RunStats with no other edit.
+type ShardStats = dist.Stats
+
 // ShardRoundStats is one exchange round's traffic, in execution order on
 // ShardStats.PerRound.
-type ShardRoundStats struct {
-	// Bytes is what the compacted exchange shipped this round; NaiveBytes is
-	// what a full-boundary flat (vertex,label) exchange would have shipped.
-	Bytes, NaiveBytes int64
-	// Pairs is the number of (vertex,label) pairs exchanged.
-	Pairs int64
-	// Suppressed counts zero-convergence suppression hits this round.
-	Suppressed int64
-}
-
-// ShardStats is the sharded pipeline's telemetry, attached to
-// RunStats.Shard on AlgoShard runs (nil for every other algorithm).
-type ShardStats struct {
-	// Shards is the shard count the run actually used (after clamping).
-	Shards int
-	// Rounds is the number of boundary-exchange rounds to global
-	// convergence; LocalIterations counts collapse passes, one per
-	// non-empty shard.
-	Rounds, LocalIterations int
-	// BoundaryEntries is the total size of the per-shard boundary lists
-	// (component, destination, target) the exchange operates on.
-	BoundaryEntries int64
-	// ExchangedBytes is the total compacted exchange traffic; NaiveBytes is
-	// the flat-encoding denominator the compaction is measured against.
-	ExchangedBytes, NaiveBytes int64
-	// Pairs is the total number of (vertex,label) pairs exchanged.
-	Pairs int64
-	// SuppressedVertices counts every exchange emission or application
-	// skipped because zero convergence had already finalized the target.
-	SuppressedVertices int64
-	// PerRound decomposes the traffic by round.
-	PerRound []ShardRoundStats
-}
+type ShardRoundStats = dist.RoundStats
 
 // WithShards sets the shard count for AlgoShard runs (clamped to the vertex
 // count; 0 keeps the default). Ignored by other algorithms.
@@ -130,10 +104,9 @@ func Shard(g *graph.Graph, opts ...Option) Result { return mustRun(AlgoShard, g,
 func runShard(g *graph.Graph, o *options) (core.Result, error) {
 	k := o.shards
 	if k <= 0 {
-		k = 4 // dist.Run's default
+		k = 4
 	}
-	src := shard.NewGraphSource(g, k)
-	res, err := dist.RunSource(src, dist.Config{
+	res, err := dist.RunSource(shard.NewGraphSource(g, k), dist.Config{
 		Pool:      o.cfg.Pool,
 		Stop:      o.cfg.Stop,
 		MaxRounds: o.cfg.MaxIterations,
@@ -141,22 +114,7 @@ func runShard(g *graph.Graph, o *options) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	st := &ShardStats{
-		Shards:             src.Shards(),
-		Rounds:             res.Rounds,
-		LocalIterations:    res.LocalIterations,
-		BoundaryEntries:    res.BoundaryEntries,
-		ExchangedBytes:     res.ExchangedBytes,
-		NaiveBytes:         res.NaiveBytes,
-		Pairs:              res.Pairs,
-		SuppressedVertices: res.SuppressedVertices,
-	}
-	for _, r := range res.PerRound {
-		st.PerRound = append(st.PerRound, ShardRoundStats{
-			Bytes: r.Bytes, NaiveBytes: r.NaiveBytes, Pairs: r.Pairs, Suppressed: r.Suppressed,
-		})
-	}
-	o.shardStats = st
+	o.shardStats = &res.Stats
 	out := core.Result{
 		Labels:     res.Labels,
 		Iterations: res.LocalIterations,

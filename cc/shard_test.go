@@ -67,6 +67,27 @@ func TestShardStatsPopulated(t *testing.T) {
 	}
 }
 
+// TestShardNegativeMaxIterations: a negative cap means "use the default"
+// for AlgoShard as it does for the kernels, so the sharded run converges to
+// Thrifty's labels instead of stopping before the first exchange round.
+func TestShardNegativeMaxIterations(t *testing.T) {
+	g, err := gen.Web(gen.DefaultWeb(12, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cc.Thrifty(g, cc.WithMaxIterations(-1))
+	res, err := cc.Run(cc.AlgoShard, g, cc.WithShards(4), cc.WithMaxIterations(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Shard.Rounds == 0 || !cc.Verify(g, res.Labels) {
+		t.Fatalf("%d rounds, %d components, verify %v", res.Stats.Shard.Rounds, res.NumComponents(), cc.Verify(g, res.Labels))
+	}
+	if res.NumComponents() != want.NumComponents() {
+		t.Fatalf("%d components, Thrifty finds %d", res.NumComponents(), want.NumComponents())
+	}
+}
+
 // TestAutoBeyondMemoryBudget: with a budget smaller than the input's
 // estimated working set, the selector must route to the sharded pipeline
 // with a shard count scaled to the deficit — and still be correct.

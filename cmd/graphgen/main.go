@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -33,7 +32,7 @@ import (
 
 func main() {
 	var (
-		spec   = flag.String("gen", "", "generator spec (rmat:<scale>[:<ef>], road:<n>, er:<n>[:<m>], web:<scale>, ba:<n>[:<m>])")
+		spec   = flag.String("gen", "", "generator spec (rmat:<scale>[:<ef>], road:<n>, er:<n>[:<m>], web:<scale>, ba:<n>[:<m>], star:<n>, path:<n>)")
 		out    = flag.String("o", "", "output path (.bin/.csr = binary CSR, anything else = edge list)")
 		seed   = flag.Uint64("seed", 42, "generator seed")
 		suite  = flag.String("suite", "", "materialize the whole analog suite at this scale (small/medium/large)")
@@ -51,13 +50,17 @@ func main() {
 	if *spec == "" || *out == "" {
 		fatalf("need -gen and -o (or -suite)")
 	}
+	sp, err := gen.ParseSpec(*spec)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	if *shards > 0 {
-		if err := writeShards(*spec, *out, *seed, *shards); err != nil {
+		if err := writeShards(sp, *out, *seed, *shards); err != nil {
 			fatalf("%v", err)
 		}
 		return
 	}
-	g, err := buildSpec(*spec, *seed)
+	g, err := sp.Build(*seed)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -73,21 +76,10 @@ func main() {
 // streamed generator, which regenerates edge chunks deterministically per
 // pass instead of holding an edge list, so peak memory stays at the degree
 // array plus one shard's adjacency; everything else builds in memory first.
-func writeShards(spec, dir string, seed uint64, k int) error {
+func writeShards(sp gen.Spec, dir string, seed uint64, k int) error {
 	start := time.Now()
-	parts := strings.Split(spec, ":")
-	if parts[0] == "rmat" {
-		atoi := func(i, def int) int {
-			if len(parts) <= i || parts[i] == "" {
-				return def
-			}
-			v, err := strconv.Atoi(parts[i])
-			if err != nil {
-				return def
-			}
-			return v
-		}
-		src, err := gen.NewRMATStream(gen.DefaultRMAT(atoi(1, 18), atoi(2, 16), seed))
+	if sp.Family == "rmat" {
+		src, err := gen.NewRMATStream(sp.RMAT(seed))
 		if err != nil {
 			return err
 		}
@@ -101,7 +93,7 @@ func writeShards(spec, dir string, seed uint64, k int) error {
 			float64(time.Since(start).Nanoseconds())/1e6)
 		return nil
 	}
-	g, err := buildSpec(spec, seed)
+	g, err := sp.Build(seed)
 	if err != nil {
 		return err
 	}
@@ -121,33 +113,6 @@ func summarize(g *graph.Graph) string {
 	ds := stats.Degrees(g)
 	return fmt.Sprintf("%d vertices, %d edges, max degree %d, skew %.1fx mean (alpha %.2f, power-law %v)",
 		g.NumVertices(), g.NumEdges(), ds.Max, ds.SkewRatio, ds.Alpha, stats.IsSkewed(ds))
-}
-
-func buildSpec(spec string, seed uint64) (*graph.Graph, error) {
-	parts := strings.Split(spec, ":")
-	atoi := func(i, def int) int {
-		if len(parts) <= i || parts[i] == "" {
-			return def
-		}
-		var v int
-		fmt.Sscanf(parts[i], "%d", &v)
-		return v
-	}
-	switch parts[0] {
-	case "rmat":
-		return gen.RMATCompact(gen.DefaultRMAT(atoi(1, 18), atoi(2, 16), seed))
-	case "road":
-		return gen.Road(atoi(1, 1<<20), seed)
-	case "er":
-		n := atoi(1, 1<<18)
-		return gen.ErdosRenyi(n, atoi(2, 8*n), seed)
-	case "web":
-		return gen.Web(gen.DefaultWeb(atoi(1, 16), seed))
-	case "ba":
-		return gen.BarabasiAlbert(atoi(1, 1<<18), atoi(2, 8), seed)
-	default:
-		return nil, fmt.Errorf("unknown generator %q", parts[0])
-	}
 }
 
 func writeGraph(path string, g *graph.Graph) error {

@@ -354,16 +354,7 @@ func runShardDir(ctx context.Context, dir string, reps, threads int, verify bool
 	fmt.Printf("%-14s %10.3f ms   %d components, %d rounds, %d shard collapses\n",
 		"shard(disk)", float64(best.Nanoseconds())/1e6,
 		census.NumComponents, res.Rounds, res.LocalIterations)
-	printShardStats(&cc.ShardStats{
-		Shards:             set.Shards(),
-		Rounds:             res.Rounds,
-		LocalIterations:    res.LocalIterations,
-		BoundaryEntries:    res.BoundaryEntries,
-		ExchangedBytes:     res.ExchangedBytes,
-		NaiveBytes:         res.NaiveBytes,
-		Pairs:              res.Pairs,
-		SuppressedVertices: res.SuppressedVertices,
-	})
+	printShardStats(&res.Stats)
 	if labelsOut != "" {
 		if err := writeLabels(labelsOut, res.Labels); err != nil {
 			return fmt.Errorf("writing %s: %w", labelsOut, err)
@@ -474,71 +465,11 @@ func genGraph(spec string, seed uint64) (*graph.Graph, error) {
 	if spec == "" {
 		return nil, fmt.Errorf("need -in or -gen")
 	}
-	parts := strings.Split(spec, ":")
-	argInt := func(i, def int) (int, error) {
-		if len(parts) <= i || parts[i] == "" {
-			return def, nil
-		}
-		return strconv.Atoi(parts[i])
+	sp, err := gen.ParseSpec(spec)
+	if err != nil {
+		return nil, err
 	}
-	switch parts[0] {
-	case "rmat":
-		scale, err := argInt(1, 18)
-		if err != nil {
-			return nil, err
-		}
-		ef, err := argInt(2, 16)
-		if err != nil {
-			return nil, err
-		}
-		return gen.RMATCompact(gen.DefaultRMAT(scale, ef, seed))
-	case "road":
-		n, err := argInt(1, 1<<20)
-		if err != nil {
-			return nil, err
-		}
-		return gen.Road(n, seed)
-	case "er":
-		n, err := argInt(1, 1<<18)
-		if err != nil {
-			return nil, err
-		}
-		m, err := argInt(2, 8*n)
-		if err != nil {
-			return nil, err
-		}
-		return gen.ErdosRenyi(n, m, seed)
-	case "web":
-		scale, err := argInt(1, 16)
-		if err != nil {
-			return nil, err
-		}
-		return gen.Web(gen.DefaultWeb(scale, seed))
-	case "ba":
-		n, err := argInt(1, 1<<18)
-		if err != nil {
-			return nil, err
-		}
-		m, err := argInt(2, 8)
-		if err != nil {
-			return nil, err
-		}
-		return gen.BarabasiAlbert(n, m, seed)
-	case "star":
-		n, err := argInt(1, 1<<20)
-		if err != nil {
-			return nil, err
-		}
-		return gen.Star(n)
-	case "path":
-		n, err := argInt(1, 1<<20)
-		if err != nil {
-			return nil, err
-		}
-		return gen.Path(n)
-	default:
-		return nil, fmt.Errorf("unknown generator %q", parts[0])
-	}
+	return sp.Build(seed)
 }
 
 func fatalf(format string, args ...interface{}) {

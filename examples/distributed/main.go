@@ -6,6 +6,9 @@
 // (hub-component) vertices are dropped from every future exchange, and only
 // labels that changed are shipped at all — this example prints the
 // compacted traffic next to what a naive full-boundary exchange would cost.
+// The in-memory runs go through cc.Run(cc.AlgoShard, …) and read the
+// traffic from Result.Stats.Shard; the on-disk run calls dist.RunSource on
+// the shard set, whose Result carries the same dist.Stats record.
 //
 //	go run ./examples/distributed
 package main
@@ -33,16 +36,17 @@ func main() {
 	fmt.Printf("%-7s %-7s %-10s %-12s %-12s %-11s\n",
 		"shards", "rounds", "boundary", "exchanged B", "naive B", "suppressed")
 	for _, shards := range []int{2, 4, 8, 16} {
-		res, err := dist.Run(g, dist.Config{Shards: shards})
+		res, err := cc.Run(cc.AlgoShard, g, cc.WithShards(shards))
 		if err != nil {
 			log.Fatal(err)
 		}
 		if !cc.Equivalent(res.Labels, oracle) {
 			log.Fatalf("shards=%d produced a wrong partition", shards)
 		}
+		st := res.Stats.Shard
 		fmt.Printf("%-7d %-7d %-10d %-12d %-12d %-11d\n",
-			shards, res.Rounds, res.BoundaryEntries,
-			res.ExchangedBytes, res.NaiveBytes, res.SuppressedVertices)
+			shards, st.Rounds, st.BoundaryEntries,
+			st.ExchangedBytes, st.NaiveBytes, st.SuppressedVertices)
 	}
 
 	// The same pipeline out of core: write the shards to disk (one CSR slice

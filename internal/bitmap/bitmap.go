@@ -185,46 +185,6 @@ func (b *Bitmap) AppendRange(dst []uint32, lo, hi int) []uint32 {
 	return dst
 }
 
-// Swap exchanges the contents of b and o. Both must have the same capacity.
-func (b *Bitmap) Swap(o *Bitmap) {
-	if b.n != o.n {
-		panic("bitmap: swap of different sizes")
-	}
-	b.words, o.words = o.words, b.words
-}
-
-// Union sets b = b ∪ o. Both must have the same capacity.
-func (b *Bitmap) Union(o *Bitmap) {
-	if b.n != o.n {
-		panic("bitmap: union of different sizes")
-	}
-	for i := range b.words {
-		b.words[i] |= o.words[i]
-	}
-}
-
-// CountRange returns the number of set bits in [lo, hi).
-func (b *Bitmap) CountRange(lo, hi int) int {
-	if lo < 0 || hi > b.n || lo > hi {
-		panic("bitmap: CountRange out of bounds")
-	}
-	if lo == hi {
-		return 0
-	}
-	loW, hiW := lo/wordBits, (hi-1)/wordBits
-	loMask := ^uint64(0) << (uint(lo) % wordBits)
-	hiMask := ^uint64(0) >> (uint(wordBits-1-(hi-1)%wordBits) % wordBits)
-	if loW == hiW {
-		return bits.OnesCount64(b.words[loW] & loMask & hiMask)
-	}
-	c := bits.OnesCount64(b.words[loW] & loMask)
-	for i := loW + 1; i < hiW; i++ {
-		c += bits.OnesCount64(b.words[i])
-	}
-	c += bits.OnesCount64(b.words[hiW] & hiMask)
-	return c
-}
-
 // Rank is a rank directory over a bitmap: one popcount prefix per word, so
 // the number of set bits below any index costs one table load and one
 // popcount. It reads the bitmap's words in place and answers for the bits

@@ -96,6 +96,23 @@ func TestThriftyccBadFlags(t *testing.T) {
 	}
 }
 
+// TestGraphgenBadSpec: a malformed generator argument is an error, whether
+// the graph is written whole or streamed into shards, never a silent default.
+func TestGraphgenBadSpec(t *testing.T) {
+	dir := t.TempDir()
+	for _, spec := range []string{"rmat:abc", "rmat:12x"} {
+		if out, err := run(t, "graphgen", "-gen", spec, "-o", filepath.Join(dir, "g.bin")); err == nil {
+			t.Fatalf("graphgen -gen %s accepted:\n%s", spec, out)
+		}
+		if out, err := run(t, "graphgen", "-gen", spec, "-shards", "2", "-o", filepath.Join(dir, "set")); err == nil {
+			t.Fatalf("graphgen -gen %s -shards 2 accepted:\n%s", spec, out)
+		}
+		if out, err := run(t, "thriftycc", "-gen", spec); err == nil {
+			t.Fatalf("thriftycc -gen %s accepted:\n%s", spec, out)
+		}
+	}
+}
+
 func TestGraphgenRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "g.bin")

@@ -92,9 +92,14 @@ func (c Config) threshold(def float64) float64 {
 	return def
 }
 
-func (c Config) maxIters(n int) int {
-	if c.MaxIterations > 0 {
-		return c.MaxIterations
+func (c Config) maxIters(n int) int { return IterationCap(c.MaxIterations, n) }
+
+// IterationCap resolves an iteration or exchange-round cap over n vertices:
+// a positive limit is kept, and any other value selects 2·n+16, which no
+// correct run reaches (labels strictly decrease).
+func IterationCap(limit, n int) int {
+	if limit > 0 {
+		return limit
 	}
 	return 2*n + 16
 }

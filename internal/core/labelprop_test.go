@@ -108,10 +108,12 @@ func TestFrontierCountsAndFill(t *testing.T) {
 	ws := worklist.NewQueue(1)
 	fillFrontier(pool, ws, bm)
 	var got []uint32
-	ws.ForEach(func(v uint32) { got = append(got, v) })
+	ws.Drain(0, func(v uint32) { got = append(got, v) })
 	if !slices.Equal(got, []uint32{0, 5, 63}) {
 		t.Fatalf("fillFrontier listed %v, want [0 5 63]", got)
 	}
+	ws.Reset()
+	fillFrontier(pool, ws, bm)
 
 	// After the pull the hub holds 0 and leaves 5 and 63 hold 1: pushing
 	// from {0, 5, 63} lowers exactly those two leaves, degree 1 each.

@@ -23,19 +23,13 @@
 package dist
 
 import (
-	"fmt"
-
-	"thriftylp/graph"
 	"thriftylp/internal/core"
 	"thriftylp/internal/parallel"
 	"thriftylp/internal/shard"
 )
 
-// Config parameterizes a sharded run.
+// Config parameterizes a sharded run; the source fixes the shard count.
 type Config struct {
-	// Shards is the shard count when partitioning an in-memory graph
-	// (default 4); ignored by RunSource, where the source fixes it.
-	Shards int
 	// Pool supplies the exchange phase's worker threads, across which it
 	// spreads the nodes; nil selects parallel.Default(). The collapse phase
 	// is sequential.
@@ -44,8 +38,9 @@ type Config struct {
 	// round boundaries; once requested the run returns early with Canceled
 	// set.
 	Stop *core.Stop
-	// MaxRounds caps the exchange loop as a safety net; 0 means 2·|V|+16,
-	// which no correct run can reach (labels strictly decrease).
+	// MaxRounds caps the exchange loop as a safety net; a value <= 0 means
+	// 2·|V|+16 (core.IterationCap), which no correct run can reach (labels
+	// strictly decrease).
 	MaxRounds int
 	// ExchangeFault, when non-nil, is invoked by every node at the start of
 	// each exchange round — the exchange-level chaos hook. It may block,
@@ -69,12 +64,11 @@ type RoundStats struct {
 	Suppressed int64 `json:"suppressed"`
 }
 
-// Result reports the outcome and the exchange cost model.
-type Result struct {
-	// Labels is the final component labelling: the hub's component
-	// converges to 0, every other component to its minimum vertex id + 1 —
-	// the same value space as the shared-memory Thrifty kernel.
-	Labels []uint32
+// Stats is the sharded pipeline's telemetry: the exchange cost model of
+// one run. cc re-exports it as cc.ShardStats on RunStats.Shard.
+type Stats struct {
+	// Shards is the shard count the source supplied.
+	Shards int
 	// Rounds is the number of exchange rounds executed (the bootstrap
 	// emission is round 1).
 	Rounds int
@@ -94,36 +88,31 @@ type Result struct {
 	SuppressedVertices int64
 	// PerRound holds the per-round traffic breakdown.
 	PerRound []RoundStats
+}
+
+// Result reports the outcome and the exchange cost model.
+type Result struct {
+	// Labels is the final component labelling: the hub's component
+	// converges to 0, every other component to its minimum vertex id + 1 —
+	// the same value space as the shared-memory Thrifty kernel.
+	Labels []uint32
+	Stats
 	// Canceled reports that Stop fired before convergence; Labels then
 	// holds intermediate state.
 	Canceled bool
 }
 
-// Run partitions an in-memory graph into cfg.Shards edge-balanced shards
-// and solves it with the sharded pipeline. The graph's adjacency is shared
-// (shards are views), so this path measures the exchange algorithm without
-// I/O; RunSource over a shard.Set is the out-of-core path.
-func Run(g *graph.Graph, cfg Config) (Result, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
-	}
-	return RunSource(shard.NewGraphSource(g, cfg.Shards), cfg)
-}
-
 // RunSource solves the shard set provided by src.
 func RunSource(src shard.Source, cfg Config) (Result, error) {
 	n := src.Vertices()
-	res := Result{Labels: make([]uint32, n)}
+	res := Result{Labels: make([]uint32, n), Stats: Stats{Shards: src.Shards()}}
 	if n == 0 {
 		return res, nil
 	}
-	k := src.Shards()
+	k := res.Shards
 	ranges := src.Ranges()
 	hub := src.Hub()
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 2*n + 16
-	}
+	maxRounds := core.IterationCap(cfg.MaxRounds, n)
 	pool := cfg.Pool
 	if pool == nil {
 		pool = parallel.Default()
@@ -228,15 +217,4 @@ func RunSource(src shard.Source, cfg Config) (Result, error) {
 		node.Labels(res.Labels)
 	}
 	return res, nil
-}
-
-// Validate sanity-checks a Config.
-func (c Config) Validate() error {
-	if c.Shards < 0 {
-		return fmt.Errorf("dist: negative shard count %d", c.Shards)
-	}
-	if c.MaxRounds < 0 {
-		return fmt.Errorf("dist: negative round cap %d", c.MaxRounds)
-	}
-	return nil
 }

@@ -48,7 +48,7 @@ func TestShardedEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			want := core.Thrifty(g, core.Config{})
 			for _, shards := range []int{1, 2, 4, 8} {
-				res, err := Run(g, Config{Shards: shards})
+				res, err := RunSource(shard.NewGraphSource(g, shards), Config{})
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
@@ -67,7 +67,7 @@ func TestShardedEquivalence(t *testing.T) {
 // hub component 0, every other component min-vertex-id + 1.
 func TestShardedLabelValueSpace(t *testing.T) {
 	g := mustGraph(gen.Components(8, 16))
-	res, err := Run(g, Config{Shards: 4})
+	res, err := RunSource(shard.NewGraphSource(g, 4), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestEmptyAndTinyGraphs(t *testing.T) {
 		"loophub": mustGraph(graph.BuildUndirected(
 			[]graph.Edge{{U: 0, V: 0}, {U: 1, V: 2}}, graph.WithNumVertices(4))),
 	} {
-		res, err := Run(g, Config{Shards: 4})
+		res, err := RunSource(shard.NewGraphSource(g, 4), Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -124,7 +124,7 @@ func TestOnDiskSetMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromMem, err := Run(g, Config{Shards: 4})
+	fromMem, err := RunSource(shard.NewGraphSource(g, 4), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestCompactionBeatsNaive(t *testing.T) {
 		"star": mustGraph(gen.Star(10_000)),
 	} {
 		for _, shards := range []int{2, 4, 8} {
-			res, err := Run(g, Config{Shards: shards})
+			res, err := RunSource(shard.NewGraphSource(g, shards), Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestCancellation(t *testing.T) {
 	g := mustGraph(gen.RMAT(gen.DefaultRMAT(11, 8, 3)))
 	stop := &core.Stop{}
 	stop.Request()
-	res, err := Run(g, Config{Shards: 4, Stop: stop})
+	res, err := RunSource(shard.NewGraphSource(g, 4), Config{Stop: stop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,15 +190,20 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	if (Config{Shards: -1}).Validate() == nil {
-		t.Fatal("negative shard count accepted")
+// TestNegativeRoundCap pins the round-cap rule core.IterationCap states: a
+// negative cap selects the default like 0 does, so the run converges,
+// while a positive cap still binds.
+func TestNegativeRoundCap(t *testing.T) {
+	g := mustGraph(gen.Web(gen.DefaultWeb(10, 42)))
+	res, err := RunSource(shard.NewGraphSource(g, 4), Config{MaxRounds: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if (Config{MaxRounds: -1}).Validate() == nil {
-		t.Fatal("negative round cap accepted")
+	if res.Rounds < 2 || !core.VerifyAgainstGraph(g, res.Labels) {
+		t.Fatalf("MaxRounds -1: %d rounds, labels verify %v", res.Rounds, core.VerifyAgainstGraph(g, res.Labels))
 	}
-	if (Config{Shards: 8, MaxRounds: 100}).Validate() != nil {
-		t.Fatal("valid config rejected")
+	if res, err = RunSource(shard.NewGraphSource(g, 4), Config{MaxRounds: 1}); err != nil || res.Rounds != 1 {
+		t.Fatalf("MaxRounds 1: %d rounds, err %v", res.Rounds, err)
 	}
 }
 
@@ -214,7 +219,7 @@ func TestQuickShardedAgreesWithOracle(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Run(g, Config{Shards: int(shards%9) + 1})
+		res, err := RunSource(shard.NewGraphSource(g, int(shards%9)+1), Config{})
 		if err != nil {
 			return false
 		}
@@ -233,8 +238,7 @@ func TestChaosExchange(t *testing.T) {
 	want := core.Thrifty(g, core.Config{})
 	var ticks atomic.Int64
 	for _, shards := range []int{2, 4, 8} {
-		res, err := Run(g, Config{
-			Shards: shards,
+		res, err := RunSource(shard.NewGraphSource(g, shards), Config{
 			ExchangeFault: func(round, node int) {
 				n := ticks.Add(1)
 				if n%2 == 0 {
@@ -279,7 +283,7 @@ func TestChaosExchangePanic(t *testing.T) {
 				t.Fatalf("recovered %T %v, want the injected fault", r, r)
 			}
 		}()
-		Run(g, Config{Shards: 4, ExchangeFault: func(round, node int) {
+		RunSource(shard.NewGraphSource(g, 4), Config{ExchangeFault: func(round, node int) {
 			if round == 1 && node == 2 {
 				panic("injected exchange fault")
 			}
@@ -287,7 +291,7 @@ func TestChaosExchangePanic(t *testing.T) {
 		t.Fatal("injected panic did not surface")
 	}()
 	// The pool must remain usable after the panic.
-	res, err := Run(g, Config{Shards: 4})
+	res, err := RunSource(shard.NewGraphSource(g, 4), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,13 +13,14 @@ import (
 	"thriftylp/internal/dist"
 	"thriftylp/internal/harness"
 	"thriftylp/internal/parallel"
+	"thriftylp/internal/shard"
 )
 
 var updateTraffic = flag.Bool("update-traffic", false, "rewrite testdata/traffic.golden from the current exchange")
 
 const trafficGolden = "testdata/traffic.golden"
 
-// exchangeTraffic renders dist.Run's full cost model on every selector
+// exchangeTraffic renders dist.RunSource's full cost model on every selector
 // fixture at 1, 2, 3, 4 and 8 shards, on a pool of the given size: the
 // totals, one line per round, and an FNV-1a hash of the labels. The whole
 // rendering is deterministic at any thread count: each shard's collapse is
@@ -37,7 +38,7 @@ func exchangeTraffic(t *testing.T, threads int) []byte {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
 		for _, k := range []int{1, 2, 3, 4, 8} {
-			res, err := dist.Run(g, dist.Config{Shards: k, Pool: pool})
+			res, err := dist.RunSource(shard.NewGraphSource(g, k), dist.Config{Pool: pool})
 			if err != nil {
 				t.Fatalf("%s/%d: %v", f.Name, k, err)
 			}

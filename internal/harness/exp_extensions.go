@@ -5,7 +5,6 @@ import (
 
 	"thriftylp/cc"
 	"thriftylp/internal/core"
-	"thriftylp/internal/dist"
 )
 
 // The experiments in this file go beyond the paper's evaluation section:
@@ -80,15 +79,16 @@ func ExpDistributed(cfg RunConfig) (*Table, error) {
 		}
 		oracle := cc.Sequential(g)
 		for _, shards := range []int{2, 4, 8, 16} {
-			res, err := dist.Run(g, dist.Config{Shards: shards})
+			res, err := cc.Run(cc.AlgoShard, g, cc.WithShards(shards))
 			if err != nil {
 				return nil, err
 			}
 			if !cc.Equivalent(res.Labels, oracle) {
 				return nil, fmt.Errorf("dist run shards=%d wrong partition", shards)
 			}
-			t.AddRow(d.Name, shards, res.Rounds, res.BoundaryEntries,
-				res.ExchangedBytes, res.NaiveBytes, res.SuppressedVertices)
+			st := res.Stats.Shard
+			t.AddRow(d.Name, shards, st.Rounds, st.BoundaryEntries,
+				st.ExchangedBytes, st.NaiveBytes, st.SuppressedVertices)
 		}
 	}
 	return t, nil

@@ -13,7 +13,7 @@ import (
 )
 
 func TestErrfreeze(t *testing.T) {
-	linttest.Run(t, linttest.TestData(), errfreeze.Analyzer, "graph", "serve", "shard", "dist")
+	linttest.Run(t, linttest.TestData(), errfreeze.Analyzer, "graph", "serve", "shard")
 }
 
 // TestFrozenRoundTrip is the reverse direction of the analyzer: every entry

@@ -16,7 +16,6 @@ var Packages = map[string]map[string]bool{
 	"thriftylp/graph":          FrozenGraph,
 	"thriftylp/internal/serve": FrozenServe,
 	"thriftylp/internal/shard": FrozenShard,
-	"thriftylp/internal/dist":  FrozenDist,
 }
 
 // FrozenGraph freezes the untrusted-input boundary: loader and validator
@@ -90,10 +89,4 @@ var FrozenShard = map[string]bool{
 	"shard: %d trailing bytes after exchange batch":                                        true,
 	"shard: stream has %d vertices":                                                        true,
 	"shard: streamed degree count %d does not match %d directed slots (degree overflow?)":  true,
-}
-
-// FrozenDist freezes the distributed-simulation config validation errors.
-var FrozenDist = map[string]bool{
-	"dist: negative shard count %d": true,
-	"dist: negative round cap %d":   true,
 }

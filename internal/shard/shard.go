@@ -139,6 +139,16 @@ func IsSetDir(path string) bool {
 // ShardFileName returns the canonical file name of shard i.
 func ShardFileName(i int) string { return fmt.Sprintf("shard-%03d.csr", i) }
 
+// partition cuts the vertices of a CSR offsets array into k edge-balanced
+// ranges, with k clamped to [1, |V|]; an empty graph has no ranges.
+func partition(offsets []int64, k int) []parallel.Range {
+	n := len(offsets) - 1
+	if n <= 0 {
+		return nil
+	}
+	return parallel.PartitionEdges(offsets, min(max(k, 1), n))
+}
+
 // Write partitions g into k edge-balanced vertex-range shards, writes each
 // as a CSR slice file in dir (created if needed) plus the manifest, and
 // returns the manifest. Every slice's offsets pass graph.CheckOffsets64
@@ -146,12 +156,6 @@ func ShardFileName(i int) string { return fmt.Sprintf("shard-%03d.csr", i) }
 // narrowing past the 2^31-edge boundary.
 func Write(g *graph.Graph, dir string, k int) (*Manifest, error) {
 	n := g.NumVertices()
-	if k <= 0 {
-		k = 1
-	}
-	if k > n && n > 0 {
-		k = n
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -159,11 +163,7 @@ func Write(g *graph.Graph, dir string, k int) (*Manifest, error) {
 	if n > 0 {
 		m.Hub = g.MaxDegreeVertex()
 	}
-	parts := parallel.PartitionEdges(g.Offsets(), k)
-	if n == 0 {
-		parts = nil
-	}
-	for i, p := range parts {
+	for i, p := range partition(g.Offsets(), k) {
 		s, err := graph.SliceFromGraph(g, p.Lo, p.Hi)
 		if err != nil {
 			return nil, err
@@ -267,18 +267,7 @@ type GraphSource struct {
 // NewGraphSource partitions g into k edge-balanced ranges and returns the
 // in-memory source over them.
 func NewGraphSource(g *graph.Graph, k int) *GraphSource {
-	n := g.NumVertices()
-	if k <= 0 {
-		k = 1
-	}
-	if k > n && n > 0 {
-		k = n
-	}
-	var parts []parallel.Range
-	if n > 0 {
-		parts = parallel.PartitionEdges(g.Offsets(), k)
-	}
-	return &GraphSource{g: g, parts: parts}
+	return &GraphSource{g: g, parts: partition(g.Offsets(), k)}
 }
 
 // Vertices implements Source.

@@ -63,12 +63,6 @@ func StreamWrite(src EdgeStream, dir string, shards int) (*Manifest, *StreamStat
 	if n <= 0 {
 		return nil, nil, fmt.Errorf("shard: stream has %d vertices", n)
 	}
-	if shards <= 0 {
-		shards = 1
-	}
-	if shards > n {
-		shards = n
-	}
 	pool := parallel.Default()
 	chunks := src.Chunks()
 
@@ -106,7 +100,7 @@ func StreamWrite(src EdgeStream, dir string, shards int) (*Manifest, *StreamStat
 	if err := graph.CheckOffsets64(offsets, slots); err != nil {
 		return nil, nil, err
 	}
-	parts := parallel.PartitionEdges(offsets, shards)
+	parts := partition(offsets, shards)
 
 	// The hub (needed for Zero Planting downstream): max degree, smallest
 	// id among ties — the same tie-break as Graph.MaxDegreeVertex.

@@ -84,8 +84,13 @@ type Probe struct {
 	LargestSampleComponent float64
 	EdgeSamples            int
 
-	// Cost is the probe's wall time.
-	Cost time.Duration
+	// Cost is the probe's wall time: the overhead the selector adds to a
+	// run. Reason is the decision-policy rule that fired ("skewed",
+	// "hub-dominated", "fragmented", "chain-like", "uniform-degree",
+	// "beyond-memory-budget", "trivial"); ProbeGraph leaves it empty and
+	// cc's auto-selector sets it.
+	Cost   time.Duration
+	Reason string
 }
 
 // probeRNG is a splitmix64 stream, private to the probe so stats does not

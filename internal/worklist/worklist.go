@@ -71,11 +71,10 @@ func (s *Set) Add(tid int, v uint32) {
 
 // AddIfAbsent inserts v into thread tid's local worklist unless the shared
 // mark array already shows it present, and reports whether v was inserted.
-// It folds the Contains+Add pair the push kernels used into a single atomic
-// load (plus the store on the absent path). As with Add, the check-then-mark
-// is intentionally not atomic as a unit: two racing callers may both observe
-// "absent", both insert, and both return true — the benign duplicate the
-// package comment describes.
+// It costs a single atomic load (plus the store on the absent path). As with
+// Add, the check-then-mark is intentionally not atomic as a unit: two racing
+// callers may both observe "absent", both insert, and both return true — the
+// benign duplicate the package comment describes.
 func (s *Set) AddIfAbsent(tid int, v uint32) bool {
 	if atomicx.LoadUint32(&s.marked[v]) != 0 {
 		return false
@@ -99,13 +98,6 @@ func (q *Queue) AppendRange(tid int, bm *bitmap.Bitmap, lo, hi int) {
 	q.lists[tid] = bm.AppendRange(q.lists[tid], lo, hi)
 }
 
-// Contains reports whether v is marked present.
-//
-//thrifty:hotpath
-func (s *Set) Contains(v uint32) bool {
-	return atomicx.LoadUint32(&s.marked[v]) != 0
-}
-
 // Len returns the total number of queued vertices across all lists,
 // counting duplicates. Single-threaded; call between iterations.
 func (q *Queue) Len() int {
@@ -115,9 +107,6 @@ func (q *Queue) Len() int {
 	}
 	return n
 }
-
-// Empty reports whether no vertex is queued.
-func (q *Queue) Empty() bool { return q.Len() == 0 }
 
 // Drain consumes the Queue on behalf of thread tid: first chunks of tid's
 // own list, then chunks stolen from the other threads' lists in ring order.
@@ -144,16 +133,6 @@ func (q *Queue) Drain(tid int, fn func(v uint32)) {
 			for _, v := range list[lo:hi] {
 				fn(v)
 			}
-		}
-	}
-}
-
-// ForEach visits every queued vertex single-threadedly (duplicates
-// included), without consuming cursors.
-func (q *Queue) ForEach(fn func(v uint32)) {
-	for _, l := range q.lists {
-		for _, v := range l {
-			fn(v)
 		}
 	}
 }

@@ -10,6 +10,9 @@ import (
 	"thriftylp/internal/bitmap"
 )
 
+// marked reports whether v's entry in the shared mark array is set.
+func marked(s *Set, v uint32) bool { return s.marked[v] != 0 }
+
 func TestAddAndLen(t *testing.T) {
 	s := New(100, 2)
 	s.Add(0, 5)
@@ -18,11 +21,8 @@ func TestAddAndLen(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
-	if !s.Contains(5) || !s.Contains(6) || s.Contains(7) {
-		t.Fatal("Contains wrong")
-	}
-	if s.Empty() {
-		t.Fatal("Empty on non-empty set")
+	if !marked(s, 5) || !marked(s, 6) || marked(s, 7) {
+		t.Fatal("mark array wrong")
 	}
 }
 
@@ -88,7 +88,7 @@ func TestResetAllowsReuse(t *testing.T) {
 			t.Fatalf("round %d: drained %v", round, seen)
 		}
 		s.Reset()
-		if !s.Empty() || s.Contains(10) {
+		if s.Len() != 0 || marked(s, 10) {
 			t.Fatalf("round %d: Reset incomplete", round)
 		}
 	}
@@ -102,8 +102,8 @@ func TestAddIfAbsent(t *testing.T) {
 	if s.AddIfAbsent(1, 5) {
 		t.Fatal("second AddIfAbsent(5) should report already-present")
 	}
-	if !s.Contains(5) || s.Len() != 1 {
-		t.Fatalf("after AddIfAbsent: Contains(5)=%v Len=%d", s.Contains(5), s.Len())
+	if !marked(s, 5) || s.Len() != 1 {
+		t.Fatalf("after AddIfAbsent: marked(5)=%v Len=%d", marked(s, 5), s.Len())
 	}
 	// Must also see vertices queued by the other insertion paths.
 	s.Add(0, 7)
@@ -123,7 +123,7 @@ func TestAddIfAbsent(t *testing.T) {
 func TestAddUnchecked(t *testing.T) {
 	s := New(10, 1)
 	s.AddUnchecked(0, 3)
-	if !s.Contains(3) || s.Len() != 1 {
+	if !marked(s, 3) || s.Len() != 1 {
 		t.Fatal("AddUnchecked did not mark/queue")
 	}
 	// A checked Add afterwards must be suppressed.
@@ -154,15 +154,15 @@ func TestConcurrentAddDuplicatesAreBounded(t *testing.T) {
 		t.Fatalf("queue holds %d entries for 16 vertices × %d threads", s.Len(), threads)
 	}
 	for v := uint32(0); v < 16; v++ {
-		if !s.Contains(v) {
+		if !marked(s, v) {
 			t.Fatalf("vertex %d lost", v)
 		}
 	}
-	// ForEach must visit at least each distinct vertex.
+	// A single-threaded Drain must deliver at least each distinct vertex.
 	seen := map[uint32]bool{}
-	s.ForEach(func(v uint32) { seen[v] = true })
+	s.Drain(0, func(v uint32) { seen[v] = true })
 	if len(seen) != 16 {
-		t.Fatalf("ForEach saw %d distinct vertices, want 16", len(seen))
+		t.Fatalf("Drain delivered %d distinct vertices, want 16", len(seen))
 	}
 }
 
@@ -184,7 +184,7 @@ func TestQueueAppendRangeDrainReset(t *testing.T) {
 			t.Fatalf("round %d: drained %v", round, got)
 		}
 		q.Reset()
-		if !q.Empty() {
+		if q.Len() != 0 {
 			t.Fatalf("round %d: Reset left %d queued", round, q.Len())
 		}
 	}
