@@ -98,11 +98,7 @@ func BuildUndirected(edges []Edge, opts ...BuildOption) (*Graph, error) {
 		offsets, adj = sortedTranspose(offsets, adj, cfg.dedup, pool, parts)
 	}
 
-	g := &Graph{offsets: offsets, adj: adj}
-	if g.NumVertices() > 0 {
-		g.computeMaxDegree(pool)
-	}
-	return g, nil
+	return newGraph(pool, offsets, adj), nil
 }
 
 // resolveVertexCount returns the vertex count for the edge list: the
@@ -137,8 +133,13 @@ func resolveVertexCount(edges []Edge, cfg *buildConfig, pool *parallel.Pool) (in
 	if int64(n) > int64(maxVertexID) {
 		return 0, fmt.Errorf("graph: %d vertices exceeds the id space [0,%d)", n, maxVertexID)
 	}
-	if i := firstViolation(pool, len(edges), func(i int) bool {
-		return int(edges[i].U) >= n || int(edges[i].V) >= n
+	if i := firstViolation(pool, len(edges), 8, func(lo, hi int) int {
+		for i, e := range edges[lo:hi] {
+			if int(e.U) >= n || int(e.V) >= n {
+				return lo + i
+			}
+		}
+		return -1
 	}); i >= 0 {
 		return 0, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", edges[i].U, edges[i].V, n)
 	}
@@ -365,38 +366,7 @@ func RemoveIsolated(g *Graph) (*Graph, []uint32) {
 			}
 		}
 	})
-	ng := &Graph{offsets: offsets, adj: adj}
-	if m > 0 {
-		ng.computeMaxDegree(pool)
-	}
-	return ng, origID
-}
-
-// firstViolation returns the smallest i in [0, n) with bad(i), or -1. The
-// scan is parallel; later chunks bail out once an earlier violation is on
-// record, so the common all-good case is a full parallel sweep and the error
-// case still reports the deterministic first offender.
-func firstViolation(pool *parallel.Pool, n int, bad func(i int) bool) int {
-	best := int64(n)
-	parallel.For(pool, n, 1<<14, func(_, lo, hi int) {
-		if int64(lo) >= atomicx.LoadInt64(&best) {
-			return
-		}
-		for i := lo; i < hi; i++ {
-			if bad(i) {
-				for {
-					cur := atomicx.LoadInt64(&best)
-					if int64(i) >= cur || atomicx.CASInt64(&best, cur, int64(i)) {
-						return
-					}
-				}
-			}
-		}
-	})
-	if best == int64(n) {
-		return -1
-	}
-	return int(best)
+	return newGraph(pool, offsets, adj), origID
 }
 
 // inDegreeHistogram counts, for each vertex, how many adjacency slots

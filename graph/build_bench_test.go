@@ -2,6 +2,8 @@ package graph_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"thriftylp/graph"
@@ -45,5 +47,35 @@ func BenchmarkBuildUndirected(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkLoadBinary times LoadBinary's mmap path on a compacted RMAT-18
+// binary CSR (~33 MB): map the file, run the structural check and find the
+// max-degree vertex, then Close. Each op maps the file afresh, so the page
+// faults of the first touch are part of it, as they are for every load.
+func BenchmarkLoadBinary(b *testing.B) {
+	g, err := gen.RMATCompact(gen.DefaultRMAT(18, 16, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "rmat18.bin")
+	if err := graph.SaveBinary(path, g); err != nil {
+		b.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(st.Size())
+	for b.Loop() {
+		lg, err := graph.LoadBinary(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if lg.MaxDegreeVertex() != g.MaxDegreeVertex() {
+			b.Fatal("loaded graph has a different max-degree vertex")
+		}
+		lg.Close()
 	}
 }

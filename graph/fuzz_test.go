@@ -2,6 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -80,6 +85,90 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted binary produced invalid CSR: %v", err)
+		}
+	})
+}
+
+// rawBinary encodes a binary CSR file from raw arrays, unchecked, so fuzz
+// seeds can carry malformed offsets and ids.
+func rawBinary(offsets []int64, adj []uint32) []byte {
+	buf := hostileHeader(uint64(len(offsets)-1), uint64(len(adj)))
+	for _, o := range offsets {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(o))
+	}
+	for _, u := range adj {
+		buf = binary.LittleEndian.AppendUint32(buf, u)
+	}
+	return buf
+}
+
+// FuzzLoadBinary drives LoadBinary's mapped path: whatever it accepts must
+// pass a scalar reference check (monotone offsets spanning the adjacency,
+// every id below n, the smallest max-degree vertex as the hub), and whatever
+// ReadBinary accepts, the mapped load must accept with equal arrays and hub.
+func FuzzLoadBinary(f *testing.F) {
+	// Five vertices (2^⌈log₂5⌉-1 = 7) and five slots: vertex 2's self-loop
+	// makes the slot count odd.
+	offsets := []int64{0, 1, 3, 4, 5, 5}
+	adj := []uint32{1, 0, 2, 3, 2}
+	valid := rawBinary(offsets, adj)
+	f.Add(valid)
+	for _, id := range []uint32{5, 7, 1 << 31, math.MaxUint32} {
+		for _, slot := range []int{0, 3, 4} {
+			bad := slices.Clone(adj)
+			bad[slot] = id
+			f.Add(rawBinary(offsets, bad))
+		}
+	}
+	f.Add(rawBinary([]int64{0, 1, 3, 2, 5, 5}, adj)) // non-monotone offsets
+	f.Add(rawBinary([]int64{0, 2, 2, 4, 4}, []uint32{1, 3, 0, 2}))
+	f.Add(rawBinary([]int64{0}, nil))
+	f.Add(valid[:len(valid)-2])
+	// Inputs run one at a time in each fuzzing process, and each mapping
+	// is closed before its input returns, so one file serves them all.
+	path := filepath.Join(f.TempDir(), "g.bin")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		g, err := LoadBinary(path)
+		if err == nil {
+			defer g.Close()
+			off, ids := g.Offsets(), g.Adjacency()
+			n := g.NumVertices()
+			if len(off) == 0 || off[0] != 0 || off[n] != int64(len(ids)) {
+				t.Fatalf("accepted offsets do not span the adjacency: %v, %d slots", off, len(ids))
+			}
+			hub := 0
+			for v := 0; v < n; v++ {
+				if off[v+1] < off[v] {
+					t.Fatalf("accepted offsets not monotone at vertex %d", v)
+				}
+				if off[v+1]-off[v] > off[hub+1]-off[hub] {
+					hub = v
+				}
+			}
+			for i, u := range ids {
+				if int(u) >= n {
+					t.Fatalf("accepted slot %d references vertex %d of %d", i, u, n)
+				}
+			}
+			if n > 0 && g.MaxDegreeVertex() != uint32(hub) {
+				t.Fatalf("MaxDegreeVertex = %d, want %d", g.MaxDegreeVertex(), hub)
+			}
+		}
+		rg, rerr := ReadBinary(bytes.NewReader(data))
+		if rerr != nil {
+			return
+		}
+		if err != nil {
+			t.Fatalf("ReadBinary accepts what LoadBinary rejects: %v", err)
+		}
+		if !slices.Equal(g.Offsets(), rg.Offsets()) || !slices.Equal(g.Adjacency(), rg.Adjacency()) {
+			t.Fatal("LoadBinary and ReadBinary disagree on the arrays")
+		}
+		if g.NumVertices() > 0 && g.MaxDegreeVertex() != rg.MaxDegreeVertex() {
+			t.Fatalf("MaxDegreeVertex: LoadBinary %d, ReadBinary %d", g.MaxDegreeVertex(), rg.MaxDegreeVertex())
 		}
 	})
 }

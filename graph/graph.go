@@ -192,91 +192,75 @@ func (g *Graph) Edges() []Edge {
 	return edges
 }
 
-// computeMaxDegree sets g.maxDeg by a parallel argmax over the offsets
-// array; ties resolve to the smallest id, matching the sequential scan.
-func (g *Graph) computeMaxDegree(pool *parallel.Pool) {
-	if pool == nil {
-		pool = parallel.Default()
-	}
-	g.maxDeg = uint32(parallel.MaxIndex(pool, g.NumVertices(), func(v int) int64 {
-		return g.offsets[v+1] - g.offsets[v]
-	}))
-}
-
 // Validate checks structural invariants of the CSR arrays: monotone offsets
 // spanning the adjacency array, in-range neighbour ids, and symmetry (every
 // directed slot (v,u) has a matching (u,v); a self-loop's slot is its own
 // match). It is O(|V|+|E|) time and O(|V|) space and is used by tests and by
 // loaders of untrusted files.
 func (g *Graph) Validate() error {
+	_, err := g.validate(parallel.Default())
+	return err
+}
+
+// validate is Validate that also returns the max-degree vertex the
+// structural pass found.
+func (g *Graph) validate(pool *parallel.Pool) (uint32, error) {
 	if err := g.usableErr(); err != nil {
-		return err
+		return 0, err
 	}
-	pool := parallel.Default()
-	if err := g.validateStructure(pool); err != nil {
-		return err
+	hub, err := g.validateStructure(pool)
+	if err != nil {
+		return 0, err
 	}
 	n := g.NumVertices()
 	if n == 0 {
-		return nil
+		return 0, nil
 	}
 	// Symmetry: the multiset of (v,u) slots must equal the multiset of
 	// (u,v) slots. Count degree-direction balance: for each unordered pair
 	// the number of v→u slots must equal u→v slots. A full multiset check
 	// is O(E log E); we verify via per-vertex counters over two passes.
 	inCount := inDegreeHistogram(pool, g.adj, n)
-	if v := firstViolation(pool, n, func(v int) bool {
-		return inCount[v] != g.offsets[v+1]-g.offsets[v]
+	if v := firstViolation(pool, n, 16, func(lo, hi int) int {
+		for v := lo; v < hi; v++ {
+			if inCount[v] != g.offsets[v+1]-g.offsets[v] {
+				return v
+			}
+		}
+		return -1
 	}); v >= 0 {
-		return fmt.Errorf("graph: vertex %d has out-degree %d but in-degree %d (asymmetric CSR)",
+		return 0, fmt.Errorf("graph: vertex %d has out-degree %d but in-degree %d (asymmetric CSR)",
 			v, g.offsets[v+1]-g.offsets[v], inCount[v])
 	}
-	return nil
+	return hub, nil
 }
 
 // validateStructure checks the invariants memory safety depends on —
 // monotone offsets spanning the adjacency array and in-range neighbour ids —
-// without the O(|E|) symmetry audit. The adjacency sweep is a direct loop
-// with a shared flag; the exact first offending slot is recomputed only on
-// the error path, so the all-good case stays branch-cheap.
-func (g *Graph) validateStructure(pool *parallel.Pool) error {
-	if pool == nil {
-		pool = parallel.Default()
-	}
+// without the O(|E|) symmetry audit, and returns the max-degree vertex. It
+// is the shared checker (check.go): one chunked pass over each array.
+func (g *Graph) validateStructure(pool *parallel.Pool) (uint32, error) {
 	n := g.NumVertices()
 	if len(g.offsets) == 0 {
 		if len(g.adj) != 0 {
-			return fmt.Errorf("graph: adjacency without offsets")
+			return 0, fmt.Errorf("graph: adjacency without offsets")
 		}
-		return nil
+		return 0, nil
 	}
 	if g.offsets[0] != 0 {
-		return fmt.Errorf("graph: offsets[0] = %d, want 0", g.offsets[0])
+		return 0, fmt.Errorf("graph: offsets[0] = %d, want 0", g.offsets[0])
 	}
-	if v := firstViolation(pool, n, func(v int) bool {
-		return g.offsets[v+1] < g.offsets[v]
-	}); v >= 0 {
-		return fmt.Errorf("graph: offsets not monotone at vertex %d", v)
+	bad, hub, _ := scanOffsets(pool, g.offsets)
+	if bad >= 0 {
+		return 0, fmt.Errorf("graph: offsets not monotone at vertex %d", bad)
 	}
 	if g.offsets[n] != int64(len(g.adj)) {
-		return fmt.Errorf("graph: offsets[%d] = %d, want len(adj) = %d", n, g.offsets[n], len(g.adj))
+		return 0, fmt.Errorf("graph: offsets[%d] = %d, want len(adj) = %d", n, g.offsets[n], len(g.adj))
 	}
-	var anyBad atomicx.Bool
-	parallel.For(pool, len(g.adj), 1<<16, func(_, lo, hi int) {
-		for _, u := range g.adj[lo:hi] {
-			if int(u) >= n {
-				anyBad.Store(true)
-				return
-			}
-		}
-	})
-	if anyBad.Load() {
-		i := firstViolation(pool, len(g.adj), func(i int) bool {
-			return int(g.adj[i]) >= n
-		})
-		return fmt.Errorf("graph: adjacency slot %d references vertex %d out of range [0,%d)", i, g.adj[i], n)
+	if i := firstOutOfRange(pool, g.adj, n); i >= 0 {
+		return 0, fmt.Errorf("graph: adjacency slot %d references vertex %d out of range [0,%d)", i, g.adj[i], n)
 	}
-	return nil
+	return uint32(hub), nil
 }
 
 // FromCSR constructs a Graph directly from prebuilt CSR arrays, taking
@@ -285,11 +269,10 @@ func (g *Graph) validateStructure(pool *parallel.Pool) error {
 // is checked and an error returned otherwise.
 func FromCSR(offsets []int64, adj []uint32) (*Graph, error) {
 	g := &Graph{offsets: offsets, adj: adj}
-	if err := g.Validate(); err != nil {
+	hub, err := g.validate(parallel.Default())
+	if err != nil {
 		return nil, err
 	}
-	if g.NumVertices() > 0 {
-		g.computeMaxDegree(nil)
-	}
+	g.maxDeg = hub
 	return g, nil
 }

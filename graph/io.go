@@ -10,6 +10,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"thriftylp/internal/parallel"
 )
 
 // Text edge-list format: one "u v" pair per line, whitespace separated,
@@ -398,12 +400,11 @@ func loadBinaryMmap(f *os.File, path string, size int64) (*Graph, error) {
 	// corrupt memory. Untrusted streams (ReadBinary) and raw arrays
 	// (FromCSR) still run the full audit; callers wanting it on a mapped
 	// graph can invoke Validate themselves.
-	if err := g.validateStructure(nil); err != nil {
+	hub, err := g.validateStructure(parallel.Default())
+	if err != nil {
 		return nil, err
 	}
-	if g.NumVertices() > 0 {
-		g.computeMaxDegree(nil)
-	}
+	g.maxDeg = hub
 	ok = true
 	return g, nil
 }

@@ -52,11 +52,7 @@ func Relabel(g *Graph, perm []uint32) (*Graph, error) {
 			}
 		}
 	})
-	ng := &Graph{offsets: offsets, adj: adj}
-	if n > 0 {
-		ng.computeMaxDegree(pool)
-	}
-	return ng, nil
+	return newGraph(pool, offsets, adj), nil
 }
 
 // DegreeDescendingPermutation returns the permutation that renames vertices

@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"thriftylp/internal/atomicx"
+	"thriftylp/internal/parallel"
 )
 
 // Vertex-range CSR slice format: the on-disk unit of the sharded execution
@@ -90,35 +91,42 @@ func (s *CSRSlice) Close() error {
 // on rebased offsets (global - base) where a silent int or uint32 narrowing
 // past 2^31 edges would corrupt the file without failing; every boundary is
 // checked here once instead of trusted at each call site.
-func CheckOffsets64(offsets []int64, slots int64) error {
+//
+// The audit is the shared checker's chunked offsets pass, so it also
+// returns the local index of the vertex of maximum degree, the smallest
+// among ties (0 when offsets holds no vertex).
+func CheckOffsets64(offsets []int64, slots int64) (hub uint32, err error) {
 	if len(offsets) == 0 {
-		return errors.New("graph: empty offsets array")
+		return 0, errors.New("graph: empty offsets array")
 	}
 	if offsets[0] != 0 {
-		return fmt.Errorf("graph: offsets[0] = %d, want 0", offsets[0])
+		return 0, fmt.Errorf("graph: offsets[0] = %d, want 0", offsets[0])
 	}
 	if slots < 0 {
-		return fmt.Errorf("graph: negative slot count %d", slots)
+		return 0, fmt.Errorf("graph: negative slot count %d", slots)
 	}
 	n := len(offsets) - 1
-	for v := 0; v < n; v++ {
-		d := offsets[v+1] - offsets[v]
-		if d < 0 {
-			return fmt.Errorf("graph: offsets not monotone at vertex %d", v)
-		}
-		if d > int64(math.MaxUint32) {
-			return fmt.Errorf("graph: vertex %d degree %d exceeds the uint32 range", v, d)
+	bad, maxV, maxDeg := scanOffsets(parallel.Default(), offsets)
+	if bad >= 0 || maxDeg > int64(math.MaxUint32) {
+		// Recompute the first offender of either kind, in vertex order.
+		for v := 0; v < n; v++ {
+			if offsets[v+1] < offsets[v] {
+				return 0, fmt.Errorf("graph: offsets not monotone at vertex %d", v)
+			}
+			if d := offsets[v+1] - offsets[v]; d > int64(math.MaxUint32) {
+				return 0, fmt.Errorf("graph: vertex %d degree %d exceeds the uint32 range", v, d)
+			}
 		}
 	}
 	if offsets[n] != slots {
-		return fmt.Errorf("graph: offsets[%d] = %d, want slot count %d", n, offsets[n], slots)
+		return 0, fmt.Errorf("graph: offsets[%d] = %d, want slot count %d", n, offsets[n], slots)
 	}
 	// The byte positions 8*(n+1) and 4*slots are computed in int64 by the
 	// writers; reject inputs where that scaling itself would overflow.
 	if int64(len(offsets)) > math.MaxInt64/8 || slots > math.MaxInt64/4-sliceHeaderSize {
-		return fmt.Errorf("graph: offsets byte size overflows (%d entries, %d slots)", len(offsets), slots)
+		return 0, fmt.Errorf("graph: offsets byte size overflows (%d entries, %d slots)", len(offsets), slots)
 	}
-	return nil
+	return uint32(maxV), nil
 }
 
 // WriteCSRSlice writes s in the slice binary format. The slice is validated
@@ -170,7 +178,8 @@ func validateSliceShape(globalV int, lo, hi uint32, offsets []int64, slots int64
 	if len(offsets) != int(hi-lo)+1 {
 		return fmt.Errorf("graph: slice has %d offsets for range [%d,%d)", len(offsets), lo, hi)
 	}
-	return CheckOffsets64(offsets, slots)
+	_, err := CheckOffsets64(offsets, slots)
+	return err
 }
 
 // readSliceHeader reads and sanity-checks the fixed slice header.
@@ -300,10 +309,8 @@ func (s *CSRSlice) validate() error {
 		return err
 	}
 	n := s.GlobalVertices
-	for i, u := range s.Adj {
-		if int(u) >= n {
-			return fmt.Errorf("graph: adjacency slot %d references vertex %d out of range [0,%d)", i, u, n)
-		}
+	if i := firstOutOfRange(parallel.Default(), s.Adj, n); i >= 0 {
+		return fmt.Errorf("graph: adjacency slot %d references vertex %d out of range [0,%d)", i, s.Adj[i], n)
 	}
 	return nil
 }

@@ -29,24 +29,34 @@ func TestCheckOffsets64(t *testing.T) {
 		name    string
 		offsets []int64
 		slots   int64
+		wantHub uint32
 		wantErr string
 	}{
-		{"valid", []int64{0, 2, 5}, 5, ""},
-		{"single-vertex-empty", []int64{0, 0}, 0, ""},
-		{"zero-vertices", []int64{0}, 0, ""},
-		{"empty", nil, 0, "empty offsets"},
-		{"nonzero-start", []int64{1, 2}, 1, "want 0"},
-		{"negative-slots", []int64{0}, -1, "negative slot count"},
-		{"not-monotone", []int64{0, 5, 3}, 3, "not monotone"},
-		{"span-mismatch", []int64{0, 2, 4}, 5, "want slot count"},
-		{"degree-overflow", []int64{0, int64(math.MaxUint32) + 1}, int64(math.MaxUint32) + 1, "exceeds the uint32 range"},
+		{"valid", []int64{0, 2, 5}, 5, 1, ""},
+		{"tie-smallest-id", []int64{0, 1, 4, 7, 9}, 9, 1, ""},
+		{"single-vertex-empty", []int64{0, 0}, 0, 0, ""},
+		{"zero-vertices", []int64{0}, 0, 0, ""},
+		{"empty", nil, 0, 0, "empty offsets"},
+		{"nonzero-start", []int64{1, 2}, 1, 0, "want 0"},
+		{"negative-slots", []int64{0}, -1, 0, "negative slot count"},
+		{"not-monotone", []int64{0, 5, 3}, 3, 0, "not monotone"},
+		{"span-mismatch", []int64{0, 2, 4}, 5, 0, "want slot count"},
+		{"degree-overflow", []int64{0, int64(math.MaxUint32) + 1}, int64(math.MaxUint32) + 1, 0, "exceeds the uint32 range"},
+		// The first offender decides the message, whichever kind it is.
+		{"overflow-before-dip", []int64{0, int64(math.MaxUint32) + 1, 5}, 5, 0, "vertex 0 degree"},
+		// A dip to a negative offset wraps the int64 degree positive.
+		{"wrapping-dip", []int64{0, 1, 3, math.MinInt64 + 2, 0, 5}, 5, 0, "not monotone at vertex 2"},
+		{"dip-before-overflow", []int64{0, 5, 3, int64(math.MaxUint32) + 4}, int64(math.MaxUint32) + 4, 0, "not monotone at vertex 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := CheckOffsets64(tc.offsets, tc.slots)
+			hub, err := CheckOffsets64(tc.offsets, tc.slots)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("CheckOffsets64 = %v, want nil", err)
+				}
+				if hub != tc.wantHub {
+					t.Fatalf("CheckOffsets64 hub = %d, want %d", hub, tc.wantHub)
 				}
 				return
 			}
@@ -68,21 +78,21 @@ func TestCheckOffsets64At2to31Boundary(t *testing.T) {
 	// spans the boundary, the last ends beyond it. int32 arithmetic on any
 	// of these values would go negative or wrap.
 	offsets := []int64{0, twoTo31 - 3, twoTo31 - 1, twoTo31 + 5, twoTo31 + 9}
-	if err := CheckOffsets64(offsets, twoTo31+9); err != nil {
+	if _, err := CheckOffsets64(offsets, twoTo31+9); err != nil {
 		t.Fatalf("boundary-straddling offsets rejected: %v", err)
 	}
 	// Degrees right at the uint32 limit pass; one past it fails.
-	if err := CheckOffsets64([]int64{0, int64(math.MaxUint32)}, int64(math.MaxUint32)); err != nil {
+	if _, err := CheckOffsets64([]int64{0, int64(math.MaxUint32)}, int64(math.MaxUint32)); err != nil {
 		t.Fatalf("max-uint32 degree rejected: %v", err)
 	}
 	// A slot count just past 2^31 with a matching monotone ramp stays valid:
 	// this is the exact shape a >2 GiB adjacency shard file produces.
 	big := []int64{0, 1 << 30, 1 << 31, (1 << 31) + (1 << 30)}
-	if err := CheckOffsets64(big, (1<<31)+(1<<30)); err != nil {
+	if _, err := CheckOffsets64(big, (1<<31)+(1<<30)); err != nil {
 		t.Fatalf("3 GiB-slot offsets rejected: %v", err)
 	}
 	// Byte-size overflow guard: offsets whose 8x scaling exceeds int64.
-	if err := CheckOffsets64([]int64{0, math.MaxInt64}, math.MaxInt64); err == nil ||
+	if _, err := CheckOffsets64([]int64{0, math.MaxInt64}, math.MaxInt64); err == nil ||
 		!strings.Contains(err.Error(), "exceeds the uint32 range") {
 		t.Fatalf("degree at MaxInt64 not rejected: %v", err)
 	}

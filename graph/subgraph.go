@@ -1,6 +1,10 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+
+	"thriftylp/internal/parallel"
+)
 
 // InducedSubgraph returns the subgraph induced by the given vertex set
 // (order-insensitive, duplicates rejected), together with the mapping from
@@ -57,11 +61,7 @@ func InducedSubgraph(g *Graph, vertices []uint32) (*Graph, []uint32, error) {
 			}
 		}
 	}
-	sub := &Graph{offsets: offsets, adj: adj}
-	if m > 0 {
-		sub.computeMaxDegree(nil)
-	}
-	return sub, origID, nil
+	return newGraph(parallel.Default(), offsets, adj), origID, nil
 }
 
 // ComponentSubgraph extracts the component with the given label from a

@@ -74,7 +74,7 @@ func Afforest(g *graph.Graph, cfg Config) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
 	comp := make([]uint32, n)
-	parallel.Fill(pool, comp, func(i int) uint32 { return uint32(i) })
+	parallel.Iota(pool, comp, 0)
 	if n == 0 {
 		return Result{Labels: comp}
 	}

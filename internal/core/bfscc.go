@@ -30,7 +30,7 @@ func BFSCC(g *graph.Graph, cfg Config) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
 	comp := make([]uint32, n)
-	parallel.Fill(pool, comp, func(i int) uint32 { return bfsUnset })
+	parallel.Fill(pool, comp, bfsUnset)
 
 	res := Result{}
 	var exploredEdges int64

@@ -30,7 +30,7 @@ func ConnectItKOut(g *graph.Graph, cfg Config) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
 	comp := make([]uint32, n)
-	parallel.Fill(pool, comp, func(i int) uint32 { return uint32(i) })
+	parallel.Iota(pool, comp, 0)
 	if n == 0 {
 		return Result{Labels: comp}
 	}
@@ -90,7 +90,7 @@ func ConnectItBFS(g *graph.Graph, cfg Config) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
 	comp := make([]uint32, n)
-	parallel.Fill(pool, comp, func(i int) uint32 { return uint32(i) })
+	parallel.Iota(pool, comp, 0)
 	if n == 0 {
 		return Result{Labels: comp}
 	}
@@ -103,7 +103,7 @@ func ConnectItBFS(g *graph.Graph, cfg Config) Result {
 	// fold the reached set into comp as a depth-1 star.
 	hub := g.MaxDegreeVertex()
 	scratch := make([]uint32, n)
-	parallel.Fill(pool, scratch, func(i int) uint32 { return bfsUnset })
+	parallel.Fill(pool, scratch, bfsUnset)
 	var explored int64
 	levels := bfsFrom(g, cfg, pool, scratch, hub, &explored)
 	res.Iterations += levels

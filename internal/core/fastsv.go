@@ -25,7 +25,7 @@ func FastSV(g *graph.Graph, cfg Config) Result {
 	n := g.NumVertices()
 	f := make([]uint32, n)
 	gp := make([]uint32, n)
-	parallel.Fill(pool, f, func(i int) uint32 { return uint32(i) })
+	parallel.Iota(pool, f, 0)
 	parallel.Copy(pool, gp, f)
 	sch := newScheduler(g, cfg, pool)
 

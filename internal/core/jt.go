@@ -21,7 +21,7 @@ func JayantiTarjan(g *graph.Graph, cfg Config) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
 	parent := make([]uint32, n)
-	parallel.Fill(pool, parent, func(i int) uint32 { return uint32(i) })
+	parallel.Iota(pool, parent, 0)
 	if n == 0 {
 		return Result{Labels: parent}
 	}

@@ -216,9 +216,9 @@ func dolpRun[A labelAccess, P program, I instr[I]](g *graph.Graph, cfg Config, r
 	// active, so iteration 0 is a full pull.
 	var p P
 	if unsafe.Sizeof(p) == 0 {
-		parallel.Fill(pool, read, func(i int) uint32 { return uint32(i) })
+		parallel.Iota(pool, read, 0)
 	} else {
-		parallel.Fill(pool, read, func(int) uint32 { return Unreached })
+		parallel.Fill(pool, read, Unreached)
 		if n > 0 {
 			read[root] = 0
 		}
@@ -306,7 +306,7 @@ func lpRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 	n := g.NumVertices()
 	oldLbs := make([]uint32, n)
 	newLbs := make([]uint32, n)
-	parallel.Fill(pool, oldLbs, func(i int) uint32 { return uint32(i) })
+	parallel.Iota(pool, oldLbs, 0)
 	parallel.Copy(pool, newLbs, oldLbs)
 	sch := newScheduler(g, cfg, pool)
 

@@ -16,7 +16,7 @@ func ShiloachVishkin(g *graph.Graph, cfg Config) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
 	comp := make([]uint32, n)
-	parallel.Fill(pool, comp, func(i int) uint32 { return uint32(i) })
+	parallel.Iota(pool, comp, 0)
 	sch := newScheduler(g, cfg, pool)
 
 	res := Result{}

@@ -58,7 +58,7 @@ func thriftyRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 	// labels[v] = v+1, then the max-degree vertex — memoized in the CSR at
 	// construction, so no per-run reduction is paid — receives the reserved
 	// label 0.
-	parallel.Fill(pool, labels, func(i int) uint32 { return uint32(i) + 1 })
+	parallel.Iota(pool, labels, 1)
 	maxV := g.MaxDegreeVertex()
 	if cfg.PlantVertexSet {
 		// Ablation/override: plant at a caller-chosen vertex instead of

@@ -39,15 +39,6 @@ func For(pool *Pool, n, grain int, fn func(tid, lo, hi int)) {
 	})
 }
 
-// ForEach runs fn(i) for each i in [0, n) in parallel with dynamic chunking.
-func ForEach(pool *Pool, n, grain int, fn func(i int)) {
-	For(pool, n, grain, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
 // SumInt64 computes the sum of fn(lo, hi) partial results over [0, n) in
 // parallel. fn must return the partial value for its chunk.
 func SumInt64(pool *Pool, n, grain int, fn func(lo, hi int) int64) int64 {
@@ -58,51 +49,25 @@ func SumInt64(pool *Pool, n, grain int, fn func(lo, hi int) int64) int64 {
 	return total
 }
 
-// MaxIndex finds an index i in [0, n) maximizing key(i), reproducing the
-// Zero Planting reduction of Algorithm 2 (lines 3-9): each thread tracks a
-// local maximum, then the master reduces over the per-thread maxima. Ties
-// resolve to the smallest index so the result is deterministic regardless of
-// chunk scheduling. n must be > 0.
-func MaxIndex(pool *Pool, n int, key func(i int) int64) int {
-	if n <= 0 {
-		panic("parallel: MaxIndex over empty range")
-	}
-	threads := pool.Threads()
-	maxVals := make([]int64, threads)
-	maxIdx := make([]int, threads)
-	for t := range maxVals {
-		maxVals[t] = -1 << 62
-		maxIdx[t] = -1
-	}
-	For(pool, n, 0, func(tid, lo, hi int) {
-		bestV, bestI := maxVals[tid], maxIdx[tid]
-		for i := lo; i < hi; i++ {
-			if v := key(i); v > bestV || (v == bestV && i < bestI) {
-				bestV, bestI = v, i
-			}
+// Iota sets dst[i] = first + i for every i, in parallel chunks: the
+// initial label assignment of the LP and union-find kernels.
+func Iota(pool *Pool, dst []uint32, first uint32) {
+	For(pool, len(dst), 0, func(_, lo, hi int) {
+		chunk := dst[lo:hi]
+		next := first + uint32(lo)
+		for i := range chunk {
+			chunk[i] = next //thrifty:benign-race workers write disjoint [lo,hi) ranges of dst
+			next++
 		}
-		//thrifty:benign-race per-thread reduction slots indexed by tid; no two workers share an index
-		maxVals[tid], maxIdx[tid] = bestV, bestI
 	})
-	bestV, bestI := int64(-1<<62), -1
-	for t := 0; t < threads; t++ {
-		if maxIdx[t] < 0 {
-			continue
-		}
-		if maxVals[t] > bestV || (maxVals[t] == bestV && maxIdx[t] < bestI) {
-			bestV, bestI = maxVals[t], maxIdx[t]
-		}
-	}
-	return bestI
 }
 
-// Fill sets dst[i] = fn(i) for all i in parallel. Used for the initial label
-// assignment loops of the LP algorithms.
-func Fill(pool *Pool, dst []uint32, fn func(i int) uint32) {
+// Fill sets every element of dst to x, in parallel chunks.
+func Fill(pool *Pool, dst []uint32, x uint32) {
 	For(pool, len(dst), 0, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			//thrifty:benign-race workers write disjoint [lo,hi) ranges of dst
-			dst[i] = fn(i)
+		chunk := dst[lo:hi]
+		for i := range chunk {
+			chunk[i] = x //thrifty:benign-race workers write disjoint [lo,hi) ranges of dst
 		}
 	})
 }

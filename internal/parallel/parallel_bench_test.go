@@ -70,17 +70,3 @@ func BenchmarkPartitionEdges(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkMaxIndex(b *testing.B) {
-	p := NewPool(0)
-	defer p.Close()
-	const n = 1 << 20
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64((i * 2654435761) % 1000003)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MaxIndex(p, n, func(i int) int64 { return vals[i] })
-	}
-}

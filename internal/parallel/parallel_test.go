@@ -3,7 +3,6 @@ package parallel
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestPoolRunsAllWorkers(t *testing.T) {
@@ -51,27 +50,29 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestForEachAndFill(t *testing.T) {
+func TestIotaFillAndCopy(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	var sum int64
-	ForEach(p, 1000, 0, func(i int) { atomic.AddInt64(&sum, int64(i)) })
-	if sum != 499500 {
-		t.Fatalf("sum = %d, want 499500", sum)
-	}
-	dst := make([]uint32, 777)
-	Fill(p, dst, func(i int) uint32 { return uint32(i * 2) })
-	for i, v := range dst {
-		if v != uint32(i*2) {
-			t.Fatalf("dst[%d] = %d", i, v)
+	for _, n := range []int{0, 1, 777, 1 << 16} {
+		dst := make([]uint32, n)
+		Iota(p, dst, 5)
+		for i, v := range dst {
+			if v != uint32(i+5) {
+				t.Fatalf("n=%d: Iota dst[%d] = %d, want %d", n, i, v, i+5)
+			}
 		}
-	}
-	src := make([]uint32, 777)
-	Fill(p, src, func(i int) uint32 { return uint32(i + 5) })
-	Copy(p, dst, src)
-	for i := range dst {
-		if dst[i] != src[i] {
-			t.Fatalf("Copy mismatch at %d", i)
+		src := make([]uint32, n)
+		Fill(p, src, 0xfffffffe)
+		for i, v := range src {
+			if v != 0xfffffffe {
+				t.Fatalf("n=%d: Fill src[%d] = %#x", n, i, v)
+			}
+		}
+		Copy(p, dst, src)
+		for i := range dst {
+			if dst[i] != src[i] {
+				t.Fatalf("n=%d: Copy mismatch at %d", n, i)
+			}
 		}
 	}
 }
@@ -88,40 +89,6 @@ func TestSumInt64(t *testing.T) {
 	})
 	if got != 49995000 {
 		t.Fatalf("SumInt64 = %d", got)
-	}
-}
-
-func TestMaxIndexDeterministicTies(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	vals := []int64{3, 9, 2, 9, 9, 1}
-	got := MaxIndex(p, len(vals), func(i int) int64 { return vals[i] })
-	if got != 1 {
-		t.Fatalf("MaxIndex = %d, want 1 (first of the ties)", got)
-	}
-	if got := MaxIndex(p, 1, func(int) int64 { return -7 }); got != 0 {
-		t.Fatalf("single-element MaxIndex = %d", got)
-	}
-}
-
-func TestMaxIndexQuick(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	f := func(vals []int16) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		got := MaxIndex(p, len(vals), func(i int) int64 { return int64(vals[i]) })
-		want := 0
-		for i, v := range vals {
-			if int64(v) > int64(vals[want]) {
-				want = i
-			}
-		}
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

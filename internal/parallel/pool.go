@@ -23,8 +23,8 @@
 // pool: the worker recovers it, the remaining workers drain normally, and
 // Run returns the first recovered panic as a *PanicError. The pool stays
 // usable for subsequent Run calls. Run on a closed pool returns ErrClosed
-// instead of deadlocking. The derived helpers (For, Fill, Copy, SumInt64,
-// MaxIndex, Stealer.Run) re-panic the *PanicError on the calling goroutine,
+// instead of deadlocking. The derived helpers (For, Iota, Fill, Copy,
+// SumInt64, Stealer.Run) re-panic the *PanicError on the calling goroutine,
 // since their signatures carry results rather than errors; the public cc
 // API recovers it at its boundary and surfaces it as an error.
 package parallel

@@ -208,9 +208,10 @@ type Set struct {
 	Manifest *Manifest
 }
 
-// Open opens the shard set in dir, validating the manifest and each shard
-// file's header against it (ranges and slot counts — cheap; the per-slice
-// structural validation runs at Slice time).
+// Open opens the shard set in dir, validating the manifest (its ranges
+// tile [0, Vertices) and its slot counts add up). It reads no slice file:
+// Slice checks each slice's header against the manifest and runs the
+// structural validation when it loads the slice.
 func Open(dir string) (*Set, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {

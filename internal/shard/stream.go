@@ -97,15 +97,14 @@ func StreamWrite(src EdgeStream, dir string, shards int) (*Manifest, *StreamStat
 	if offsets[n] != slots {
 		return nil, nil, fmt.Errorf("shard: streamed degree count %d does not match %d directed slots (degree overflow?)", offsets[n], slots)
 	}
-	if err := graph.CheckOffsets64(offsets, slots); err != nil {
+	// The audit also finds the hub (needed for Zero Planting downstream):
+	// max degree, smallest id among ties, as Graph.MaxDegreeVertex.
+	hub, err := graph.CheckOffsets64(offsets, slots)
+	if err != nil {
 		return nil, nil, err
 	}
-	parts := partition(offsets, shards)
-
-	// The hub (needed for Zero Planting downstream): max degree, smallest
-	// id among ties — the same tie-break as Graph.MaxDegreeVertex.
-	hub := uint32(parallel.MaxIndex(pool, n, func(v int) int64 { return int64(deg[v]) }))
 	deg = nil
+	parts := partition(offsets, shards)
 
 	m := &Manifest{Schema: ManifestSchema, Vertices: n, Slots: slots, Hub: hub}
 	stats := &StreamStats{
