@@ -39,10 +39,17 @@ func instrFixtures(t testing.TB) map[string]*graph.Graph {
 }
 
 var instrAlgos = map[string]func(*graph.Graph, Config) Result{
-	"thrifty":      Thrifty,
-	"dolp":         DOLP,
-	"dolp-unified": DOLPUnified,
-	"lp":           LP,
+	"thrifty":        Thrifty,
+	"dolp":           DOLP,
+	"dolp-unified":   DOLPUnified,
+	"lp":             LP,
+	"sv":             ShiloachVishkin,
+	"fastsv":         FastSV,
+	"jt":             JayantiTarjan,
+	"bfs":            BFSCC,
+	"afforest":       Afforest,
+	"connectit-kout": ConnectItKOut,
+	"connectit-bfs":  ConnectItBFS,
 }
 
 // TestFastPathMatchesInstrumented asserts the noInstr and counting kernel
@@ -92,7 +99,7 @@ func TestFastPathMatchesInstrumented(t *testing.T) {
 }
 
 // seedCounterGoldens pins the instrumented counter totals measured on the
-// pre-policy (seed) implementation with a single-thread pool, where
+// pre-policy implementation of each kernel with a single-thread pool, where
 // traversal order — and therefore every counter — is deterministic. The
 // policy split must not change what the counting path counts.
 var seedCounterGoldens = []struct {
@@ -124,6 +131,50 @@ var seedCounterGoldens = []struct {
 	{"weblike-small", "dolp", 70884, 5254, 180484, 107758, 2044, 75100, 13791},
 	{"weblike-small", "dolp-unified", 51972, 3334, 55306, 1304, 342, 55134, 352},
 	{"weblike-small", "lp", 1703790, 104346, 1808136, 3372, 0, 1808136, 0},
+	// The union-find, hooking and BFS kernels, measured while they still
+	// counted into hand-incremented blocks. They track no cache lines.
+	{"figure2", "sv", 32, 28, 98, 6, 6, 46, 0},
+	{"figure2", "fastsv", 64, 56, 184, 41, 156, 156, 0},
+	{"figure2", "jt", 8, 7, 53, 6, 6, 16, 0},
+	{"figure2", "bfs", 16, 7, 0, 6, 16, 0, 0},
+	{"figure2", "afforest", 12, 35, 79, 6, 6, 13, 0},
+	{"figure2", "connectit-kout", 20, 35, 106, 10, 6, 15, 0},
+	{"figure2", "connectit-bfs", 16, 21, 28, 6, 16, 7, 0},
+	{"star-64", "sv", 252, 256, 823, 63, 63, 380, 0},
+	{"star-64", "fastsv", 252, 256, 760, 191, 632, 632, 0},
+	{"star-64", "jt", 63, 64, 486, 108, 108, 126, 0},
+	{"star-64", "bfs", 126, 64, 0, 63, 126, 0, 0},
+	{"star-64", "afforest", 65, 320, 641, 63, 63, 127, 0},
+	{"star-64", "connectit-kout", 128, 320, 767, 63, 63, 127, 0},
+	{"star-64", "connectit-bfs", 126, 192, 256, 63, 126, 64, 0},
+	{"path-100", "sv", 396, 400, 1291, 99, 99, 596, 0},
+	{"path-100", "fastsv", 1584, 1600, 4768, 1373, 3968, 3968, 0},
+	{"path-100", "jt", 99, 100, 874, 195, 195, 198, 0},
+	{"path-100", "bfs", 198, 100, 0, 99, 198, 0, 0},
+	{"path-100", "afforest", 198, 500, 1195, 99, 99, 199, 0},
+	{"path-100", "connectit-kout", 323, 500, 1849, 246, 99, 224, 0},
+	{"path-100", "connectit-bfs", 198, 300, 400, 99, 198, 100, 0},
+	{"components-4x8", "sv", 448, 128, 1052, 28, 28, 512, 0},
+	{"components-4x8", "fastsv", 448, 128, 1024, 92, 960, 960, 0},
+	{"components-4x8", "jt", 112, 32, 688, 49, 49, 224, 0},
+	{"components-4x8", "bfs", 224, 32, 0, 28, 224, 0, 0},
+	{"components-4x8", "afforest", 184, 160, 596, 28, 28, 60, 0},
+	{"components-4x8", "connectit-kout", 232, 160, 738, 38, 29, 73, 0},
+	{"components-4x8", "connectit-bfs", 224, 72, 461, 28, 77, 53, 0},
+	{"rmat-small", "sv", 107068, 12028, 253634, 5975, 21528, 116053, 0},
+	{"rmat-small", "fastsv", 267670, 30070, 565410, 24666, 550375, 550375, 0},
+	{"rmat-small", "jt", 26767, 3007, 169303, 5870, 5870, 53534, 0},
+	{"rmat-small", "bfs", 3941, 9037, 0, 3004, 559, 12403, 0},
+	{"rmat-small", "afforest", 5369, 15035, 52119, 5991, 4689, 9327, 0},
+	{"rmat-small", "connectit-kout", 6034, 15035, 65328, 5985, 7645, 12364, 0},
+	{"rmat-small", "connectit-bfs", 3468, 15038, 12034, 3004, 905, 14591, 0},
+	{"weblike-small", "sv", 51630, 6324, 117991, 2025, 6463, 55764, 0},
+	{"weblike-small", "fastsv", 154890, 18972, 328752, 12746, 319266, 319266, 0},
+	{"weblike-small", "jt", 8605, 1054, 54654, 2102, 2102, 17210, 0},
+	{"weblike-small", "bfs", 2870, 2313, 0, 1053, 1815, 3163, 0},
+	{"weblike-small", "afforest", 1990, 5270, 18035, 2077, 1640, 2898, 0},
+	{"weblike-small", "connectit-kout", 2402, 5270, 21578, 2176, 2197, 3796, 0},
+	{"weblike-small", "connectit-bfs", 2043, 4415, 4216, 1053, 800, 4405, 0},
 }
 
 func TestInstrumentedCountersMatchSeed(t *testing.T) {
