@@ -27,6 +27,13 @@ const (
 // one cheap top-down search each, which is why BFS-CC degrades on datasets
 // with hundreds of thousands of components.
 func BFSCC(g *graph.Graph, cfg Config) Result {
+	if cfg.fastInstr() {
+		return bfsCCRun(g, cfg, noInstr{})
+	}
+	return bfsCCRun(g, cfg, newCounting(cfg))
+}
+
+func bfsCCRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
 	comp := make([]uint32, n)
@@ -44,7 +51,7 @@ func BFSCC(g *graph.Graph, cfg Config) Result {
 		if cfg.cancelPoint(&res, PhaseBFS) {
 			break
 		}
-		levels := bfsFrom(g, cfg, pool, comp, uint32(s), &exploredEdges)
+		levels := bfsFrom(g, cfg, pool, comp, uint32(s), &exploredEdges, proto)
 		res.Iterations += levels
 	}
 	// Catch a stop that arrived during the final component's search, after
@@ -56,7 +63,7 @@ func BFSCC(g *graph.Graph, cfg Config) Result {
 
 // bfsFrom runs one direction-optimizing BFS claiming vertices into
 // component s. Returns the number of levels.
-func bfsFrom(g *graph.Graph, cfg Config, pool *parallel.Pool, comp []uint32, s uint32, exploredEdges *int64) int {
+func bfsFrom[I instr[I]](g *graph.Graph, cfg Config, pool *parallel.Pool, comp []uint32, s uint32, exploredEdges *int64, proto I) int {
 	m := g.NumDirectedEdges()
 	comp[s] = s
 	frontier := []uint32{s}
@@ -91,19 +98,19 @@ func bfsFrom(g *graph.Graph, cfg Config, pool *parallel.Pool, comp []uint32, s u
 				var claimed, claimedEdges int64
 				parallel.For(pool, g.NumVertices(), 2048, func(tid, lo, hi int) {
 					var lv, le int64
-					var ck chunkCounts
+					ins := proto.Fresh()
 					for v := lo; v < hi; v++ {
-						ck.visits++
-						ck.branches++
+						iVisit(ins)
+						iBranch(ins)
 						if atomicx.LoadUint32(&comp[v]) != bfsUnset {
 							continue
 						}
 						for _, u := range g.Neighbors(uint32(v)) {
-							ck.edges++
-							ck.branches++
+							iEdge(ins)
+							iBranch(ins)
 							if front.Get(int(u)) {
 								atomicx.StoreUint32(&comp[v], s)
-								ck.stores++
+								iStore(ins)
 								nextBm.SetAtomic(v)
 								lv++
 								le += int64(g.Degree(uint32(v)))
@@ -111,7 +118,7 @@ func bfsFrom(g *graph.Graph, cfg Config, pool *parallel.Pool, comp []uint32, s u
 							}
 						}
 					}
-					ck.flush(cfg.Ctr, tid)
+					iFlush(ins, tid)
 					atomicx.AddInt64(&claimed, lv)
 					atomicx.AddInt64(&claimedEdges, le)
 				})
@@ -137,42 +144,42 @@ func bfsFrom(g *graph.Graph, cfg Config, pool *parallel.Pool, comp []uint32, s u
 		var next []uint32
 		var nextEdges int64
 		if len(frontier) < 1024 || pool.Threads() == 1 {
-			var ck chunkCounts
+			ins := proto.Fresh()
 			for _, v := range frontier {
-				ck.visits++
+				iVisit(ins)
 				for _, u := range g.Neighbors(v) {
-					ck.edges++
-					ck.cas++
+					iEdge(ins)
+					iCAS(ins)
 					if comp[u] == bfsUnset {
 						comp[u] = s
-						ck.stores++
+						iStore(ins)
 						next = append(next, u)
 						nextEdges += int64(g.Degree(u))
 					}
 				}
 			}
-			ck.flush(cfg.Ctr, 0)
+			iFlush(ins, 0)
 		} else {
 			threads := pool.Threads()
 			partial := make([][]uint32, threads)
 			parallel.For(pool, len(frontier), 256, func(tid, lo, hi int) {
 				var le int64
-				var ck chunkCounts
+				ins := proto.Fresh()
 				buf := partial[tid]
 				for _, v := range frontier[lo:hi] {
-					ck.visits++
+					iVisit(ins)
 					for _, u := range g.Neighbors(v) {
-						ck.edges++
-						ck.cas++
+						iEdge(ins)
+						iCAS(ins)
 						if atomicx.CASUint32(&comp[u], bfsUnset, s) {
-							ck.stores++
+							iStore(ins)
 							buf = append(buf, u)
 							le += int64(g.Degree(u))
 						}
 					}
 				}
 				partial[tid] = buf //thrifty:benign-race per-thread frontier buffer indexed by tid
-				ck.flush(cfg.Ctr, tid)
+				iFlush(ins, tid)
 				atomicx.AddInt64(&nextEdges, le)
 			})
 			for _, p := range partial {

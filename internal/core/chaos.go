@@ -8,11 +8,10 @@ import (
 	"thriftylp/internal/atomicx"
 )
 
-// FaultPlan is a fault-injection schedule for the label-propagation
-// kernels. The counting policy (instr.go) ticks it at every instrumentation
-// hook: each tick bumps a global event counter, and the plan injects
-// runtime.Gosched calls, sleeps, and an optional panic at configured event
-// counts. Running the kernels under a plan with -race actively exercises the
+// FaultPlan is a fault-injection schedule for the kernels. The counting
+// policy (instr.go) ticks it at every instrumentation hook: each tick bumps
+// a global event counter, and the plan injects runtime.Gosched calls,
+// sleeps, and an optional panic at configured event counts. Running the kernels under a plan with -race actively exercises the
 // paper's benign-race claims (the non-atomic dedup discipline of the
 // worklists and the unified labels array, §IV-A/§V-A) far beyond what
 // natural scheduling reaches, and the panic schedule drives the pool's

@@ -50,10 +50,9 @@ type Config struct {
 	// Result with Canceled set. cc.RunContext arms it from a context.
 	Stop *Stop
 	// Faults, when non-nil, injects scheduling perturbations (and
-	// optionally a panic) at the instrumentation hook points of the
-	// label-propagation kernels, which then take the counting path. It
-	// composes with Ctr, Lines and Trace, whose totals it leaves unchanged.
-	// Chaos tests only.
+	// optionally a panic) at the instrumentation hook points of every
+	// kernel, which then takes the counting path. It composes with Ctr,
+	// Lines and Trace, whose totals it leaves unchanged. Chaos tests only.
 	Faults *FaultPlan
 
 	// The remaining fields are Thrifty ablation/tuning switches; the zero
@@ -140,9 +139,8 @@ type Result struct {
 	Phase string
 }
 
-// chunkCounts is the per-chunk local counter block algorithms accumulate in
-// registers and flush once per chunk, keeping instrumentation overhead out
-// of inner loops.
+// chunkCounts is the counting policy's per-worker counter block (instr.go),
+// flushed to the shared Counters once per chunk.
 type chunkCounts struct {
 	edges, visits, loads, stores, cas, branches int64
 }

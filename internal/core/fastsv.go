@@ -21,6 +21,13 @@ import (
 // until no value changes. All three use atomic-min, so iterations are safe
 // to run fully in parallel.
 func FastSV(g *graph.Graph, cfg Config) Result {
+	if cfg.fastInstr() {
+		return fastSVRun(g, cfg, noInstr{})
+	}
+	return fastSVRun(g, cfg, newCounting(cfg))
+}
+
+func fastSVRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
 	f := make([]uint32, n)
@@ -39,57 +46,60 @@ func FastSV(g *graph.Graph, cfg Config) Result {
 				return // cancellation poll at partition entry
 			}
 			var local int64
-			var ck chunkCounts
+			ins := proto.Fresh()
 			for u := lo; u < hi; u++ {
-				ck.visits++
+				iVisit(ins)
 				for _, v := range g.Neighbors(uint32(u)) {
-					ck.edges++
+					iEdge(ins)
 					gpv := atomicx.LoadUint32(&gp[v])
-					ck.loads++
+					iLoad(ins)
 					// Stochastic hooking: lower u's parent's value.
 					fu := atomicx.LoadUint32(&f[u])
-					ck.loads++
-					ck.cas += 2
-					ck.branches += 2
+					iLoad(ins)
+					iCAS(ins)
+					iCAS(ins)
+					iBranch(ins)
+					iBranch(ins)
 					if atomicx.MinUint32(&f[fu], gpv) {
-						ck.stores++
+						iStore(ins)
 						local++
 					}
 					// Aggressive hooking: lower u's own value.
 					if atomicx.MinUint32(&f[u], gpv) {
-						ck.stores++
+						iStore(ins)
 						local++
 					}
 				}
 			}
-			ck.flush(cfg.Ctr, tid)
+			iFlush(ins, tid)
 			atomicx.AddInt64(&changed, local)
 		})
 		// Shortcutting.
 		parallel.For(pool, n, 2048, func(tid, lo, hi int) {
 			var local int64
-			var ck chunkCounts
+			ins := proto.Fresh()
 			for u := lo; u < hi; u++ {
-				ck.visits++
-				ck.cas++
-				ck.branches++
+				iVisit(ins)
+				iCAS(ins)
+				iBranch(ins)
 				if atomicx.MinUint32(&f[u], atomicx.LoadUint32(&gp[u])) {
-					ck.stores++
+					iStore(ins)
 					local++
 				}
 			}
-			ck.flush(cfg.Ctr, tid)
+			iFlush(ins, tid)
 			atomicx.AddInt64(&changed, local)
 		})
 		// Recompute grandparents for the next iteration.
 		parallel.For(pool, n, 2048, func(tid, lo, hi int) {
-			var ck chunkCounts
+			ins := proto.Fresh()
 			for u := lo; u < hi; u++ {
 				gp[u] = f[f[u]] //thrifty:benign-race workers own disjoint vertex ranges of gp; stale f reads are FastSV-tolerated
-				ck.loads += 2
-				ck.stores++
+				iLoad(ins)
+				iLoad(ins)
+				iStore(ins)
 			}
-			ck.flush(cfg.Ctr, tid)
+			iFlush(ins, tid)
 		})
 		res.Iterations++
 		// Cancellation before convergence: a cancelled hook sweep reports a

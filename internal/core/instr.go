@@ -6,13 +6,13 @@ import (
 	"thriftylp/internal/counters"
 )
 
-// This file defines the compile-time instrumentation policy the traversal
-// kernels are generic over. Every label-propagation kernel (the one push
-// sweep and one pull sweep in labelprop.go that Thrifty, DO-LP,
-// DO-LP+Unified, LP and BFS hop distance share) is written once,
-// parameterized by a policy type; the run's Config selects the policy once,
-// so hot loops never branch on "is instrumentation on?" per edge. There are
-// exactly two policies:
+// This file defines the compile-time instrumentation policy every kernel is
+// generic over: the one push sweep and one pull sweep in labelprop.go that
+// Thrifty, DO-LP, DO-LP+Unified, LP and BFS hop distance share, SV, FastSV,
+// JT, BFS-CC, and the union-find engine behind Afforest and both ConnectIt
+// kernels. Each is written once, parameterized by a policy type; the run's
+// Config selects the policy once, so hot loops never branch on "is
+// instrumentation on?" per edge. There are exactly two policies:
 //
 //   - noInstr is the fast path: every hook is an empty method on a
 //     zero-size value. Go monomorphizes generic functions per concrete

@@ -18,6 +18,13 @@ import (
 // paper's note that JT operates correctly on a coordinate representation
 // where each edge appears precisely once.
 func JayantiTarjan(g *graph.Graph, cfg Config) Result {
+	if cfg.fastInstr() {
+		return jtRun(g, cfg, noInstr{})
+	}
+	return jtRun(g, cfg, newCounting(cfg))
+}
+
+func jtRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
 	parent := make([]uint32, n)
@@ -45,28 +52,6 @@ func JayantiTarjan(g *graph.Graph, cfg Config) Result {
 		return a > b
 	}
 
-	// find with path splitting: each step swings x's parent pointer up to
-	// its grandparent. Safe under concurrency because parent priorities
-	// strictly increase along any chain.
-	find := func(x uint32, ck *chunkCounts) uint32 {
-		for {
-			p := atomicx.LoadUint32(&parent[x])
-			ck.loads++
-			if p == x {
-				return x
-			}
-			gp := atomicx.LoadUint32(&parent[p])
-			ck.loads++
-			if gp != p {
-				ck.cas++
-				if atomicx.CASUint32(&parent[x], p, gp) {
-					ck.stores++
-				}
-			}
-			x = p
-		}
-	}
-
 	res := Result{Iterations: 1}
 
 	// Single edge pass: union the endpoints of every undirected edge.
@@ -74,18 +59,18 @@ func JayantiTarjan(g *graph.Graph, cfg Config) Result {
 		if cfg.Stop.Requested() {
 			return // cancellation poll at partition entry
 		}
-		var ck chunkCounts
+		ins := proto.Fresh()
 		for v := lo; v < hi; v++ {
-			ck.visits++
+			iVisit(ins)
 			for _, u := range g.Neighbors(uint32(v)) {
-				ck.branches++
+				iBranch(ins)
 				if u < uint32(v) {
 					continue // each undirected edge once
 				}
-				ck.edges++
+				iEdge(ins)
 				a, b := uint32(v), u
 				for {
-					ra, rb := find(a, &ck), find(b, &ck)
+					ra, rb := jtFind(parent, a, ins), jtFind(parent, b, ins)
 					if ra == rb {
 						break
 					}
@@ -93,16 +78,16 @@ func JayantiTarjan(g *graph.Graph, cfg Config) Result {
 					if higher(ra, rb) {
 						ra, rb = rb, ra
 					}
-					ck.cas++
+					iCAS(ins)
 					if atomicx.CASUint32(&parent[ra], ra, rb) {
-						ck.stores++
+						iStore(ins)
 						break
 					}
 					// CAS lost: ra is no longer a root; retry the union.
 				}
 			}
 		}
-		ck.flush(cfg.Ctr, tid)
+		iFlush(ins, tid)
 	})
 	cfg.cancelPoint(&res, PhaseEdgePass)
 
@@ -110,12 +95,34 @@ func JayantiTarjan(g *graph.Graph, cfg Config) Result {
 	// forest is still a valid union-find state, and flattening makes the
 	// returned labels root ids.
 	parallel.For(pool, n, 2048, func(tid, lo, hi int) {
-		var ck chunkCounts
+		ins := proto.Fresh()
 		for v := lo; v < hi; v++ {
-			atomicx.StoreUint32(&parent[v], find(uint32(v), &ck))
+			atomicx.StoreUint32(&parent[v], jtFind(parent, uint32(v), ins))
 		}
-		ck.flush(cfg.Ctr, tid)
+		iFlush(ins, tid)
 	})
 	res.Labels = parent
 	return res
+}
+
+// jtFind is find with path splitting: each step swings x's parent pointer
+// up to its grandparent. Safe under concurrency because parent priorities
+// strictly increase along any chain.
+func jtFind[I instr[I]](parent []uint32, x uint32, ins I) uint32 {
+	for {
+		p := atomicx.LoadUint32(&parent[x])
+		iLoad(ins)
+		if p == x {
+			return x
+		}
+		gp := atomicx.LoadUint32(&parent[p])
+		iLoad(ins)
+		if gp != p {
+			iCAS(ins)
+			if atomicx.CASUint32(&parent[x], p, gp) {
+				iStore(ins)
+			}
+		}
+		x = p
+	}
 }

@@ -13,6 +13,13 @@ import (
 // repeat until no hook fires. Every pass scans all edges, which is why SV
 // trails the other baselines by an order of magnitude on large graphs.
 func ShiloachVishkin(g *graph.Graph, cfg Config) Result {
+	if cfg.fastInstr() {
+		return svRun(g, cfg, noInstr{})
+	}
+	return svRun(g, cfg, newCounting(cfg))
+}
+
+func svRun[I instr[I]](g *graph.Graph, cfg Config, proto I) Result {
 	pool := cfg.pool()
 	n := g.NumVertices()
 	comp := make([]uint32, n)
@@ -30,49 +37,51 @@ func ShiloachVishkin(g *graph.Graph, cfg Config) Result {
 				return // cancellation poll at partition entry
 			}
 			var local int64
-			var ck chunkCounts
+			ins := proto.Fresh()
 			for v := lo; v < hi; v++ {
-				ck.visits++
+				iVisit(ins)
 				for _, u := range g.Neighbors(uint32(v)) {
-					ck.edges++
-					ck.loads += 2
-					ck.branches++
+					iEdge(ins)
+					iLoad(ins)
+					iLoad(ins)
+					iBranch(ins)
 					x := atomicx.LoadUint32(&comp[v])
 					y := atomicx.LoadUint32(&comp[u])
 					if x < y {
-						ck.loads++
-						ck.cas++
+						iLoad(ins)
+						iCAS(ins)
 						// Hook only roots: CAS guards against y having been
 						// re-parented concurrently.
 						if atomicx.CASUint32(&comp[y], y, x) {
-							ck.stores++
+							iStore(ins)
 							local++
 						}
 					}
 				}
 			}
-			ck.flush(cfg.Ctr, tid)
+			iFlush(ins, tid)
 			atomicx.AddInt64(&changed, local)
 		})
 		// Shortcut pass: full pointer jumping collapses every tree to a
 		// star so the next hook pass compares roots directly.
 		parallel.For(pool, n, 2048, func(tid, lo, hi int) {
-			var ck chunkCounts
+			ins := proto.Fresh()
 			for v := lo; v < hi; v++ {
-				ck.visits++
+				iVisit(ins)
 				for {
 					p := atomicx.LoadUint32(&comp[v])
 					gp := atomicx.LoadUint32(&comp[p])
-					ck.loads += 2
-					ck.branches++
+					iLoad(ins)
+					iLoad(ins)
+					iBranch(ins)
 					if p == gp {
 						break
 					}
 					atomicx.StoreUint32(&comp[v], gp)
-					ck.stores++
+					iStore(ins)
 				}
 			}
-			ck.flush(cfg.Ctr, tid)
+			iFlush(ins, tid)
 		})
 		res.Iterations++
 		// Cancellation before convergence: a cancelled hook pass reports a

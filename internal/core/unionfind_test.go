@@ -15,20 +15,18 @@ import (
 // directly.
 func TestAfforestLinkUnitesAndIsIdempotent(t *testing.T) {
 	comp := []uint32{0, 1, 2, 3}
-	var ck chunkCounts
-	afforestLink(1, 3, comp, &ck)
+	afforestLink(1, 3, comp, noInstr{})
 	// Roots 1 and 3: the higher id hooks under the lower.
 	if comp[3] != 1 {
 		t.Fatalf("comp after link = %v", comp)
 	}
-	afforestLink(1, 3, comp, &ck) // already united: no change
+	afforestLink(1, 3, comp, noInstr{}) // already united: no change
 	if comp[3] != 1 || comp[1] != 1 {
 		t.Fatalf("comp after re-link = %v", comp)
 	}
 	// Transitive union through non-roots.
-	afforestLink(3, 2, comp, &ck)
-	fl := &chunkFlusher{cfg: &Config{}}
-	afforestCompress(parallel.Default(), comp, fl)
+	afforestLink(3, 2, comp, noInstr{})
+	afforestCompress(parallel.Default(), comp, noInstr{})
 	if comp[2] != 1 || comp[3] != 1 {
 		t.Fatalf("comp after transitive link+compress = %v", comp)
 	}
@@ -39,8 +37,7 @@ func TestAfforestLinkUnitesAndIsIdempotent(t *testing.T) {
 func TestAfforestCompressFlattens(t *testing.T) {
 	// A chain 4→3→2→1→0.
 	comp := []uint32{0, 0, 1, 2, 3}
-	fl := &chunkFlusher{cfg: &Config{}}
-	afforestCompress(parallel.Default(), comp, fl)
+	afforestCompress(parallel.Default(), comp, noInstr{})
 	for v, p := range comp {
 		if p != 0 {
 			t.Fatalf("comp[%d] = %d after compress", v, p)
