@@ -52,20 +52,12 @@ type ProbeStats = stats.Probe
 // it trailed the winner by 5-25x, matching the paper's observation that
 // min-hooking does strictly more work per edge than direction-optimized
 // propagation.
-//
-// One rule precedes all the structural ones: beyond-memory-budget. When the
-// caller declared a byte budget (WithMemoryBudget or THRIFTY_MEM_BUDGET)
-// and the input's estimated whole-graph working set exceeds it, no
-// whole-graph algorithm is admissible regardless of shape, so the selector
-// picks the sharded out-of-core pipeline.
-func selectAlgorithm(p stats.Probe, budget int64) (Algorithm, string) {
+func selectAlgorithm(p stats.Probe) (Algorithm, string) {
 	switch {
 	case p.Vertices == 0 || p.DirectedEdges == 0:
 		// Empty or edgeless: every algorithm is O(V); Thrifty keeps the
 		// labels convention consistent with the package's default.
 		return AlgoThrifty, "trivial"
-	case budget > 0 && estimateResidentBytes(p) > budget:
-		return AlgoShard, "beyond-memory-budget"
 	case p.HubEdgeFraction >= 0.4:
 		return AlgoBFSCC, "hub-dominated"
 	case p.SkewRatio >= 20:
@@ -81,16 +73,11 @@ func selectAlgorithm(p stats.Probe, budget int64) (Algorithm, string) {
 
 // autoSelect probes g and returns the chosen algorithm plus the reported
 // probe. Deterministic: the probe uses a fixed sampling seed, so equal
-// graphs always select equally (for a fixed budget). When the budget rule
-// fires it also sizes the shard count on o, unless the caller pinned one.
-func autoSelect(g *graph.Graph, o *options) (Algorithm, *ProbeStats) {
+// graphs always select equally.
+func autoSelect(g *graph.Graph) (Algorithm, *ProbeStats) {
 	p := stats.ProbeGraph(g, stats.ProbeOptions{})
-	budget := o.memoryBudget()
 	var algo Algorithm
-	algo, p.Reason = selectAlgorithm(p, budget)
-	if p.Reason == "beyond-memory-budget" && o.shards == 0 {
-		o.shards = budgetShardCount(estimateResidentBytes(p), budget)
-	}
+	algo, p.Reason = selectAlgorithm(p)
 	return algo, &p
 }
 

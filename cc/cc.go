@@ -85,10 +85,9 @@ type options struct {
 	pool    *parallel.Pool
 	ownPool bool
 	ingest  *graph.IngestStats
-	// shards and memBudget configure/steer the sharded pipeline (shard.go);
-	// shardStats is runShard's output channel to RunContext.
+	// shards configures the sharded pipeline (shard.go); shardStats is
+	// runShard's output channel to RunContext.
 	shards     int
-	memBudget  int64
 	shardStats *ShardStats
 }
 

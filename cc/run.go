@@ -201,7 +201,7 @@ func RunContext(ctx context.Context, a Algorithm, g *graph.Graph, opts ...Option
 	selected := a
 	var probe *ProbeStats
 	if a == AlgoAuto {
-		selected, probe = autoSelect(g, o)
+		selected, probe = autoSelect(g)
 	}
 
 	cres, err := run(selected, g, o)

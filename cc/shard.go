@@ -1,14 +1,10 @@
 package cc
 
 import (
-	"os"
-	"strconv"
-
 	"thriftylp/graph"
 	"thriftylp/internal/core"
 	"thriftylp/internal/dist"
 	"thriftylp/internal/shard"
-	"thriftylp/internal/stats"
 )
 
 // AlgoShard is sharded out-of-core Thrifty: the graph is split into
@@ -21,10 +17,6 @@ import (
 // value space as AlgoThrifty: hub component 0, every other component
 // min-vertex-id+1.
 const AlgoShard Algorithm = "shard"
-
-// MemBudgetEnv, when set to a positive byte count, gives AlgoAuto a memory
-// budget on runs that did not pass WithMemoryBudget explicitly.
-const MemBudgetEnv = "THRIFTY_MEM_BUDGET"
 
 // ShardStats is the sharded pipeline's telemetry, attached to
 // RunStats.Shard on AlgoShard runs (nil for every other algorithm). It is
@@ -44,55 +36,6 @@ func WithShards(k int) Option {
 			o.shards = k
 		}
 	}
-}
-
-// WithMemoryBudget tells the AlgoAuto selector how many bytes of resident
-// graph + solver state the run may use. When the input's estimated
-// working set exceeds the budget, the selector picks AlgoShard with a shard
-// count scaled so one shard's share fits, instead of a whole-graph
-// algorithm ("beyond-memory-budget" rule). Zero means unlimited; the
-// THRIFTY_MEM_BUDGET environment variable supplies a default when the
-// option is absent. Ignored when the caller names an algorithm directly.
-func WithMemoryBudget(bytes int64) Option {
-	return func(o *options) {
-		if bytes > 0 {
-			o.memBudget = bytes
-		}
-	}
-}
-
-// memoryBudget resolves the effective budget: explicit option first, then
-// the environment, else unlimited (0).
-func (o *options) memoryBudget() int64 {
-	if o.memBudget > 0 {
-		return o.memBudget
-	}
-	if s := os.Getenv(MemBudgetEnv); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil && v > 0 {
-			return v
-		}
-	}
-	return 0
-}
-
-// estimateResidentBytes is the whole-graph working set the selector holds
-// against the budget: the CSR arrays (8-byte offsets, 4-byte adjacency)
-// plus the label-propagation solver state (labels, shadow labels, frontier
-// bookkeeping — roughly 16 bytes per vertex).
-func estimateResidentBytes(p stats.Probe) int64 {
-	return 8*int64(p.Vertices+1) + 4*p.DirectedEdges + 16*int64(p.Vertices)
-}
-
-// budgetShardCount picks the shard count for a budget-driven AlgoShard run:
-// enough shards that one shard's slice share of the estimate fits the
-// budget, never fewer than two (one shard would be the whole-graph run the
-// rule just rejected).
-func budgetShardCount(estimate, budget int64) int {
-	k := int((estimate + budget - 1) / budget)
-	if k < 2 {
-		k = 2
-	}
-	return k
 }
 
 // Shard runs the sharded out-of-core Thrifty pipeline (see AlgoShard).

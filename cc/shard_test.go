@@ -1,7 +1,6 @@
 package cc_test
 
 import (
-	"strconv"
 	"testing"
 
 	"thriftylp/cc"
@@ -85,77 +84,6 @@ func TestShardNegativeMaxIterations(t *testing.T) {
 	}
 	if res.NumComponents() != want.NumComponents() {
 		t.Fatalf("%d components, Thrifty finds %d", res.NumComponents(), want.NumComponents())
-	}
-}
-
-// TestAutoBeyondMemoryBudget: with a budget smaller than the input's
-// estimated working set, the selector must route to the sharded pipeline
-// with a shard count scaled to the deficit — and still be correct.
-func TestAutoBeyondMemoryBudget(t *testing.T) {
-	g, err := gen.RMAT(gen.DefaultRMAT(12, 8, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cc.Run(cc.AlgoAuto, g, cc.WithMemoryBudget(64<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Selected != cc.AlgoShard {
-		t.Fatalf("selected %s, want shard", res.Stats.Selected)
-	}
-	if got := probeReason(res); got != "beyond-memory-budget" {
-		t.Fatalf("decision reason = %q", got)
-	}
-	st := res.Stats.Shard
-	if st == nil {
-		t.Fatal("budget-driven run has nil ShardStats")
-	}
-	if st.Shards < 2 {
-		t.Fatalf("budget rule chose %d shards", st.Shards)
-	}
-	if !cc.Equivalent(res.Labels, cc.Sequential(g)) {
-		t.Fatal("budget-driven run disagrees with oracle")
-	}
-
-	// An ample budget must leave the structural rules in charge.
-	ample, err := cc.Run(cc.AlgoAuto, g, cc.WithMemoryBudget(1<<40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ample.Stats.Selected == cc.AlgoShard {
-		t.Fatal("ample budget still routed to the sharded pipeline")
-	}
-}
-
-// TestAutoMemoryBudgetFromEnv: THRIFTY_MEM_BUDGET supplies the budget when
-// the option is absent; an explicit WithMemoryBudget wins over it.
-func TestAutoMemoryBudgetFromEnv(t *testing.T) {
-	g, err := gen.RMAT(gen.DefaultRMAT(12, 8, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv(cc.MemBudgetEnv, strconv.Itoa(64<<10))
-	res, err := cc.Run(cc.AlgoAuto, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Selected != cc.AlgoShard || probeReason(res) != "beyond-memory-budget" {
-		t.Fatalf("env budget ignored: selected %s (%s)", res.Stats.Selected, probeReason(res))
-	}
-	over, err := cc.Run(cc.AlgoAuto, g, cc.WithMemoryBudget(1<<40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if over.Stats.Selected == cc.AlgoShard {
-		t.Fatal("explicit option did not override the env budget")
-	}
-	t.Setenv(cc.MemBudgetEnv, "not-a-number")
-	junk, err := cc.Run(cc.AlgoAuto, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if junk.Stats.Probe.Reason == "beyond-memory-budget" {
-		t.Fatal("malformed env budget was honoured")
 	}
 }
 

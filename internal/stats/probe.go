@@ -87,8 +87,8 @@ type Probe struct {
 	// Cost is the probe's wall time: the overhead the selector adds to a
 	// run. Reason is the decision-policy rule that fired ("skewed",
 	// "hub-dominated", "fragmented", "chain-like", "uniform-degree",
-	// "beyond-memory-budget", "trivial"); ProbeGraph leaves it empty and
-	// cc's auto-selector sets it.
+	// "trivial"); ProbeGraph leaves it empty and cc's auto-selector sets
+	// it.
 	Cost   time.Duration
 	Reason string
 }
