@@ -212,6 +212,17 @@ func readSliceHeader(r io.Reader) (globalV uint64, lo, hi uint32, slots uint64, 
 	return globalV, uint32(rawLo), uint32(rawHi), slots, nil
 }
 
+// CSRSliceFileSize returns the byte size of a slice file over n vertices
+// and m directed slots, header included, or -1 on overflow: the least a
+// file must hold before a loader may trust a claim of that shape.
+func CSRSliceFileSize(n, m uint64) int64 {
+	p := binPayloadSize(n, m)
+	if p < 0 || p > 1<<63-1-sliceHeaderSize {
+		return -1
+	}
+	return sliceHeaderSize + p
+}
+
 // LoadCSRSlice reads a slice written by WriteCSRSlice. On little-endian
 // hosts with mmap support the offsets and adjacency arrays alias the page
 // cache (the returned slice owns the mapping; call Close); elsewhere the

@@ -83,6 +83,7 @@ var FrozenShard = map[string]bool{
 	"shard: shard slot counts sum to %d, manifest claims %d":                               true,
 	"shard: parsing manifest: %w":                                                          true,
 	"shard: %s header {%d [%d,%d) %d slots} disagrees with manifest {%d [%d,%d) %d slots}": true,
+	"shard: %s holds %d bytes, manifest range [%d,%d) with %d slots needs %d":              true,
 	"shard: corrupt exchange batch header":                                                 true,
 	"shard: exchange batch truncated at pair %d of %d":                                     true,
 	"shard: exchange pair (%d,%d) outside shard range [%d,%d)":                             true,

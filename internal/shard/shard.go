@@ -209,13 +209,29 @@ type Set struct {
 }
 
 // Open opens the shard set in dir, validating the manifest (its ranges
-// tile [0, Vertices) and its slot counts add up). It reads no slice file:
-// Slice checks each slice's header against the manifest and runs the
-// structural validation when it loads the slice.
+// tile [0, Vertices) and its slot counts add up) and checking that each
+// slice file is at least as large as its manifest entry needs, which bounds
+// Vertices by the bytes on disk. It reads no slice file: Slice checks each
+// slice's header against the manifest and runs the structural validation
+// when it loads the slice.
 func Open(dir string) (*Set, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
+	}
+	// Callers size per-vertex state from Vertices before loading a slice,
+	// so bound the manifest's claims by the bytes on disk: each slice file
+	// must hold the header and payload its range and slot count need.
+	for _, info := range m.Shards {
+		st, err := os.Stat(filepath.Join(dir, info.File))
+		if err != nil {
+			return nil, err
+		}
+		need := graph.CSRSliceFileSize(uint64(info.Hi-info.Lo), uint64(info.Slots))
+		if need < 0 || st.Size() < need {
+			return nil, fmt.Errorf("shard: %s holds %d bytes, manifest range [%d,%d) with %d slots needs %d",
+				info.File, st.Size(), info.Lo, info.Hi, info.Slots, need)
+		}
 	}
 	return &Set{Dir: dir, Manifest: m}, nil
 }

@@ -199,10 +199,21 @@ func TestOpenRejectsMismatchedManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Claim the wrong slot count for shard 0 (keeping the total consistent
-	// by shifting it to shard 1): Open succeeds on the manifest but the
-	// slice header cross-check at load time must catch it.
+	// by shifting it to shard 1): shard 1's file is then 4 bytes short of
+	// its claim, which Open's size check catches.
 	m.Shards[0].Slots--
 	m.Shards[1].Slots++
+	if err := WriteManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil {
+		t.Fatal("slot count beyond shard 1's file accepted")
+	}
+	// Under-claim shard 0 instead: every file holds what the manifest
+	// needs, so Open succeeds, but the slice header cross-check at load
+	// time must catch the mismatch.
+	m.Shards[1].Slots--
+	m.Slots--
 	if err := WriteManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +223,50 @@ func TestOpenRejectsMismatchedManifest(t *testing.T) {
 	}
 	if _, err := set.Slice(0); err == nil {
 		t.Fatal("slot-count mismatch between manifest and slice header accepted")
+	}
+}
+
+// TestOpenBoundsVerticesByFiles: a manifest whose ranges tile a huge vertex
+// space over small slice files must fail Open, before any caller sizes
+// per-vertex state from Vertices. Each case rewrites the manifest of a
+// written 3-shard set.
+func TestOpenBoundsVerticesByFiles(t *testing.T) {
+	g := mustGraph(gen.RMATCompact(gen.DefaultRMAT(5, 8, 3)))
+	for _, tc := range []struct {
+		name   string
+		mutate func(m *Manifest)
+	}{
+		// The FuzzShardSet seed of the same name: the last shard's range
+		// is stretched to end at 2^31 over its few-hundred-byte file.
+		{"manifest-claims-2to31", func(m *Manifest) {
+			m.Vertices = 1 << 31
+			m.Shards[2].Hi = 1 << 31
+		}},
+		{"slots-beyond-file", func(m *Manifest) {
+			m.Shards[0].Slots += 1 << 20
+			m.Slots += 1 << 20
+		}},
+		{"missing-file", func(m *Manifest) {
+			m.Shards[1].File = "absent.csr"
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m, err := Write(g, dir, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(dir); err != nil {
+				t.Fatalf("the written set does not open: %v", err)
+			}
+			tc.mutate(m)
+			if err := WriteManifest(dir, m); err != nil {
+				t.Fatal(err)
+			}
+			if set, err := Open(dir); err == nil {
+				t.Fatalf("Open accepted the rewritten manifest (%d vertices)", set.Vertices())
+			}
+		})
 	}
 }
 
