@@ -56,18 +56,22 @@ func BenchmarkThriftyInstrumented(b *testing.B) {
 	}
 }
 
-// BenchmarkFastPathBaselines times the uninstrumented fast path of the other
-// traversal kernels sharing the instrumentation-policy design, catching
-// regressions outside the headline algorithm. It reports allocations: a
-// DO-LP run's bytes are its two labels arrays, two bitmaps and the push
-// queue's lists.
+// BenchmarkFastPathBaselines times the uninstrumented fast path of every
+// other kernel, all on the instrumentation-policy design, catching
+// regressions outside the headline algorithm and giving the Thrifty/baseline
+// ratios a bare denominator. It reports allocations: a DO-LP run's bytes are
+// its two labels arrays, two bitmaps and the push queue's lists.
 func BenchmarkFastPathBaselines(b *testing.B) {
 	fixtures := harness.RegressionFixtures()
 	g, err := fixtures[0].Build()
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, a := range []cc.Algorithm{cc.AlgoDOLP, cc.AlgoDOLPUnified, cc.AlgoLP} {
+	for _, a := range []cc.Algorithm{
+		cc.AlgoDOLP, cc.AlgoDOLPUnified, cc.AlgoLP,
+		cc.AlgoSV, cc.AlgoFastSV, cc.AlgoJayantiT, cc.AlgoBFSCC,
+		cc.AlgoAfforest, cc.AlgoConnectItKOut, cc.AlgoConnectItBFS,
+	} {
 		b.Run(fmt.Sprintf("%s/%s", fixtures[0].Name, a), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
